@@ -32,11 +32,17 @@ import tempfile
 import numpy as np
 from conftest import better, save_result
 
-from repro.adapt import OnlineNoiseScale, probe_batch_fn
+from repro.adapt import (
+    BatchGrowth,
+    BatchSizeController,
+    OnlineNoiseScale,
+    probe_batch_fn,
+)
 from repro.analysis.noise_scale import estimate_noise_scale
 from repro.experiments import build_workload
 from repro.parallel.cluster import SimCluster
 from repro.parallel.perfmodel import DeviceModel
+from repro.utils.checkpoint import CheckpointManager
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -64,11 +70,27 @@ def _merge_bench_json(update: dict) -> None:
     BENCH_JSON.write_text(json.dumps(existing, indent=2) + "\n")
 
 
-def _epoch_batches(trainer, epochs: int) -> list[int]:
+def train_adaptive(wl, epochs: int, checkpoint_dir=None, resume: bool = False):
+    """Closed-loop training from the base batch; returns (result, growth)."""
+    growth = BatchGrowth(
+        BatchSizeController(wl.base_batch, max(wl.batches)), noise_every=NOISE_EVERY
+    )
+    result = wl.run(
+        wl.base_batch,
+        wl.legw_schedule(wl.base_batch, epochs),
+        epochs=epochs,
+        checkpoint=None if checkpoint_dir is None else CheckpointManager(checkpoint_dir),
+        resume=resume,
+        growth=growth,
+    )
+    return result, growth
+
+
+def _epoch_batches(growth, epochs: int) -> list[int]:
     batches = []
     for epoch in range(epochs):
-        batch = trainer.trajectory[0][1]
-        for at_epoch, value in trainer.trajectory:
+        batch = growth.trajectory[0][1]
+        for at_epoch, value in growth.trajectory:
             if epoch >= at_epoch:
                 batch = value
         batches.append(batch)
@@ -86,16 +108,16 @@ def test_adaptive_beats_fixed_batch(benchmark):
 
     def measure():
         fixed = wl.run_legw(wl.base_batch, epochs=EPOCHS)
-        adaptive = wl.run_adaptive(epochs=EPOCHS, noise_every=NOISE_EVERY)
-        return fixed, adaptive, wl.last_adaptive
+        adaptive, growth = train_adaptive(wl, EPOCHS)
+        return fixed, adaptive, growth
 
-    fixed, adaptive, trainer = benchmark.pedantic(measure, rounds=1, iterations=1)
+    fixed, adaptive, growth = benchmark.pedantic(measure, rounds=1, iterations=1)
     fixed_steps = EPOCHS * wl.steps_per_epoch(wl.base_batch)
     adaptive_steps = int(adaptive.final_metrics["optimizer_steps"])
     fixed_score = float(fixed.final_metrics[wl.metric])
     adaptive_score = float(adaptive.final_metrics[wl.metric])
     fixed_time = _modeled_time(wl, [wl.base_batch] * EPOCHS)
-    adaptive_time = _modeled_time(wl, _epoch_batches(trainer, EPOCHS))
+    adaptive_time = _modeled_time(wl, _epoch_batches(growth, EPOCHS))
     saved = 1.0 - adaptive_steps / fixed_steps
 
     save_result(
@@ -110,7 +132,7 @@ def test_adaptive_beats_fixed_batch(benchmark):
             f"{100 * STEP_REDUCTION_TARGET:.0f}%)\n"
             f"  modeled  : fixed {fixed_time:.3g}  adaptive "
             f"{adaptive_time:.3g}\n"
-            f"  growth   : {trainer.trajectory}"
+            f"  growth   : {growth.trajectory}"
         ),
     )
 
@@ -142,7 +164,7 @@ def test_adaptive_beats_fixed_batch(benchmark):
                 "adaptive_score": round(adaptive_score, 4),
                 "fixed_modeled_time": round(fixed_time, 1),
                 "adaptive_modeled_time": round(adaptive_time, 1),
-                "trajectory": [list(t) for t in trainer.trajectory],
+                "trajectory": [list(t) for t in growth.trajectory],
             }
         }
     )
@@ -154,8 +176,8 @@ def test_online_estimator_matches_offline(benchmark):
     wl = build_workload("mnist", "smoke")
 
     def measure():
-        wl.run_adaptive(epochs=1, noise_every=NOISE_EVERY)
-        trainer = wl.last_adaptive
+        _, growth = train_adaptive(wl, 1)
+        trainer = growth.trainer
         model = trainer.model
         params = [p for _, p in trainer.optimizer.params]
         make_batch = probe_batch_fn(trainer.train_iter)
@@ -238,25 +260,19 @@ def test_resume_reproduces_batch_trajectory(benchmark):
         d_part = tempfile.mkdtemp(prefix="adapt_part_")
         try:
             wl = build_workload("mnist", "smoke")
-            full = wl.run_adaptive(
-                epochs=epochs, noise_every=NOISE_EVERY, checkpoint_dir=d_full
-            )
-            full_traj = list(wl.last_adaptive.trajectory)
+            full, growth = train_adaptive(wl, epochs, checkpoint_dir=d_full)
+            full_traj = list(growth.trajectory)
 
             # "kill" at the halfway checkpoint: a fresh workload (fresh
             # model, optimizer, estimator, loader) resumes from disk alone
-            wl_part = build_workload("mnist", "smoke")
-            wl_part.run_adaptive(
-                epochs=half, noise_every=NOISE_EVERY, checkpoint_dir=d_part
-            )
-            wl_res = build_workload("mnist", "smoke")
-            resumed = wl_res.run_adaptive(
-                epochs=epochs,
-                noise_every=NOISE_EVERY,
+            train_adaptive(build_workload("mnist", "smoke"), half, checkpoint_dir=d_part)
+            resumed, growth = train_adaptive(
+                build_workload("mnist", "smoke"),
+                epochs,
                 checkpoint_dir=d_part,
                 resume=True,
             )
-            resumed_traj = list(wl_res.last_adaptive.trajectory)
+            resumed_traj = list(growth.trajectory)
             return full, full_traj, resumed, resumed_traj
         finally:
             shutil.rmtree(d_full, ignore_errors=True)

@@ -10,9 +10,10 @@ classes and shows the resilience stack absorbing every one of them:
 * :class:`~repro.parallel.mp.MultiprocessCluster` re-submits crashed and
   straggling shards under a bounded retry budget (worker crash p=0.1 per
   shard-step, plus deliberate stragglers);
-* :class:`~repro.train.resilience.ResilientTrainer` catches exactly one
-  NaN-poisoned loss step, rolls back to the last hardened checkpoint and
-  re-enters warmup at a backed-off peak LR;
+* :class:`~repro.train.Trainer` under the
+  :class:`~repro.train.resilience.Rollback` fault policy catches exactly
+  one NaN-poisoned loss step, rolls back to the last hardened checkpoint
+  and re-enters warmup at a backed-off peak LR;
 * every detected fault and recovery is counted through ``repro.obs``.
 
 The punchline is the comparison against an identical fault-free run: the
@@ -34,7 +35,8 @@ from repro.obs import Obs
 from repro.optim import Momentum
 from repro.parallel import FaultSpec, LossFaultInjector, MultiprocessCluster
 from repro.schedules import ConstantLR
-from repro.train import ResilientTrainer
+from repro.train import Rollback, Trainer
+from repro.utils import CheckpointManager
 
 # functools.partial of an importable class pickles by reference, so the
 # worker processes can rebuild the replica without importing this script
@@ -74,18 +76,16 @@ def train_once(train, test, ckpt_dir: str, inject_faults: bool):
         MODEL_FACTORY, N_WORKERS, timeout=60.0, max_retries=3,
         backoff=0.01, fault_spec=spec,
     ) as cluster, obs.activate():
-        trainer = ResilientTrainer(
-            model,
+        trainer = Trainer(
+            cluster.as_loss_fn(model),
             optimizer,
             ConstantLR(LR),
             batches,
-            checkpoint_dir=ckpt_dir,
-            gradient_fn=lambda batch: cluster.gradient_step(model, batch),
             eval_fn=lambda: model.evaluate(test),
-            fault_injector=injector,
             obs=obs,
-            keep_last=3,
-            max_recoveries=3,
+            model=model,
+            checkpoint=CheckpointManager(ckpt_dir, keep_last=3),
+            faults=Rollback(max_recoveries=3, injector=injector),
         )
         result = trainer.run(EPOCHS)
         counters = (cluster.faults_detected, cluster.retries)

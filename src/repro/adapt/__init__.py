@@ -6,7 +6,8 @@ package chooses the batch size from measurement.  An
 training runs (harvesting per-shard gradients from a data-parallel
 cluster for free, or paired micro-batch probes when serial), a
 :class:`BatchSizeController` grows the batch toward the measured
-critical batch, and :class:`AdaptiveBatchTrainer` enacts each growth
+critical batch, and :class:`BatchGrowth` — the
+:class:`~repro.train.trainer.Trainer`'s epoch-start hook — enacts each growth
 under the LEGW invariant — sqrt-LR rescale plus linear-epoch re-warmup —
 with full checkpoint coverage so resumed runs reproduce the batch
 trajectory bit-exactly.
@@ -18,11 +19,10 @@ from repro.adapt.estimator import (
     probe_batch_fn,
     two_batch_elimination,
 )
-from repro.adapt.trainer import AdaptiveBatchTrainer, AdaptiveLRSchedule
+from repro.adapt.growth import BatchGrowth
 
 __all__ = [
-    "AdaptiveBatchTrainer",
-    "AdaptiveLRSchedule",
+    "BatchGrowth",
     "BatchSizeController",
     "OnlineNoiseScale",
     "probe_batch_fn",

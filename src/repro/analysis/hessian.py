@@ -20,10 +20,6 @@ from repro.tensor.tensor import Tensor
 from repro.utils.rng import as_generator
 
 
-def _flat_params(params: Sequence[Tensor]) -> np.ndarray:
-    return np.concatenate([p.data.reshape(-1) for p in params])
-
-
 def _add_flat(params: Sequence[Tensor], flat: np.ndarray, scale: float) -> None:
     offset = 0
     for p in params:

@@ -61,10 +61,12 @@ measured critical batch under the LEGW invariant), with ``--noise-every
 N`` setting the serial probe cadence, ``--target-ratio R`` the growth
 aggressiveness and ``--max-batch B`` the cap.  Adaptive training is
 incompatible with ``--compile`` (every batch-size change would force a
-graph recapture, thrashing the replay cache), with ``--amp``/
-``--fault-rate``, and with an explicit ``--batch`` (the loop owns the
-batch size); ``--workers`` composes — per-shard gradients then feed the
+graph recapture, thrashing the replay cache) and with an explicit
+``--batch`` (the loop owns the batch size); ``--amp``, the resilience
+flags and ``--workers`` compose — per-shard gradients then feed the
 estimator for free.
+
+Every combination trains through the one ``Workload.run`` entry point.
 """
 
 from __future__ import annotations
@@ -75,15 +77,19 @@ import pathlib
 import sys
 from typing import Sequence
 
+from repro.adapt import BatchGrowth, BatchSizeController
 from repro.experiments import build_workload, run_experiment, score_of
 from repro.experiments.registry import EXPERIMENTS
 from repro.obs import Obs
 from repro.parallel.allreduce import ALGORITHMS
 from repro.parallel.buckets import DEFAULT_BUCKET_MB
+from repro.parallel.faults import LossFaultInjector
 from repro.compile.config import use_compiled
 from repro.tensor.amp import use_amp
 from repro.tensor.fused import use_fused
+from repro.train import Rollback
 from repro.utils.ascii_plot import line_chart
+from repro.utils.checkpoint import CheckpointManager
 
 WORKLOADS = ("mnist", "ptb_small", "ptb_large", "gnmt", "resnet")
 SCHEDULE_KINDS = ("legw", "linear", "sqrt", "none")
@@ -485,144 +491,87 @@ def _cmd_train(args: argparse.Namespace) -> int:
             epochs=args.epochs,
         )
         print(f"schedule: {args.schedule} scaling, warmup {args.warmup_epochs} ep")
-    if args.resume and args.checkpoint_dir is None:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.fault_rate and args.checkpoint_dir is None:
-        print("--fault-rate requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if not args.adaptive_batch:
-        for flag, value in (
-            ("--noise-every", args.noise_every),
-            ("--target-ratio", args.target_ratio),
-            ("--max-batch", args.max_batch),
-        ):
-            if value is not None:
-                print(f"{flag} requires --adaptive-batch", file=sys.stderr)
-                return 2
-    else:
-        if args.batch is not None:
-            print(
-                "--adaptive-batch owns the batch size (starts at the "
-                "workload's base batch); drop --batch",
-                file=sys.stderr,
+    adaptive = args.adaptive_batch
+    wire = args.wire_dtype is not None or args.stochastic_rounding
+    # (illegal combination, message), checked in order: the first one
+    # that holds is reported
+    conflicts = [
+        (args.resume and args.checkpoint_dir is None,
+         "--resume requires --checkpoint-dir"),
+        (args.fault_rate and args.checkpoint_dir is None,
+         "--fault-rate requires --checkpoint-dir"),
+        *(
+            (not adaptive and value is not None, f"{flag} requires --adaptive-batch")
+            for flag, value in (
+                ("--noise-every", args.noise_every),
+                ("--target-ratio", args.target_ratio),
+                ("--max-batch", args.max_batch),
             )
-            return 2
-        if args.compiled:
-            # every growth changes the batch shape, forcing a graph
-            # recapture — the replay cache would thrash, never amortising
-            print(
-                "--adaptive-batch is incompatible with --compile "
-                "(batch-shape changes force graph recapture thrash)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.amp:
-            print(
-                "--adaptive-batch is incompatible with --amp",
-                file=sys.stderr,
-            )
-            return 2
-        if args.fault_rate:
-            print(
-                "--adaptive-batch is incompatible with --fault-rate "
-                "(no rollback path in the adaptive trainer)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.schedule != "legw":
-            print(
-                "--adaptive-batch requires --schedule legw (growth "
-                "events rescale the LEGW envelope)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.parallel_backend != "sim" and args.workers is not None:
-            print(
-                "--adaptive-batch supports --parallel-backend sim only",
-                file=sys.stderr,
-            )
-            return 2
-        if args.wire_dtype is not None or args.stochastic_rounding:
-            print(
-                "--adaptive-batch is incompatible with --wire-dtype/"
-                "--stochastic-rounding",
-                file=sys.stderr,
-            )
-            return 2
-    if args.workers is not None:
-        if args.workers < 1:
-            print("--workers must be >= 1", file=sys.stderr)
-            return 2
-        if (
-            args.checkpoint_dir is not None
-            and args.parallel_backend != "mp"
-            and not args.adaptive_batch
-        ):
-            print(
-                "--workers with --checkpoint-dir requires "
-                "--parallel-backend mp",
-                file=sys.stderr,
-            )
-            return 2
-    if args.wire_dtype is not None or args.stochastic_rounding:
-        if args.workers is None or args.checkpoint_dir is not None:
-            print(
-                "--wire-dtype/--stochastic-rounding require --workers "
-                "(without --checkpoint-dir)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.stochastic_rounding and args.wire_dtype != "fp16":
-            print(
-                "--stochastic-rounding requires --wire-dtype fp16",
-                file=sys.stderr,
-            )
-            return 2
-        if args.bucket_mb <= 0:
-            print(
-                "--wire-dtype requires the bucketed path (--bucket-mb > 0)",
-                file=sys.stderr,
-            )
+        ),
+        (adaptive and args.batch is not None,
+         "--adaptive-batch owns the batch size (starts at the workload's "
+         "base batch); drop --batch"),
+        # every growth changes the batch shape, forcing a graph recapture
+        # — the replay cache would thrash, never amortising
+        (adaptive and args.compiled,
+         "--adaptive-batch is incompatible with --compile (batch-shape "
+         "changes force graph recapture thrash)"),
+        (adaptive and args.schedule != "legw",
+         "--adaptive-batch requires --schedule legw (growth events rescale "
+         "the LEGW envelope)"),
+        (adaptive and args.parallel_backend != "sim" and args.workers is not None,
+         "--adaptive-batch supports --parallel-backend sim only"),
+        (adaptive and wire,
+         "--adaptive-batch is incompatible with --wire-dtype/--stochastic-rounding"),
+        (args.workers is not None and args.workers < 1, "--workers must be >= 1"),
+        (args.workers is not None and args.checkpoint_dir is not None
+         and args.parallel_backend != "mp" and not adaptive,
+         "--workers with --checkpoint-dir requires --parallel-backend mp"),
+        (wire and (args.workers is None or args.checkpoint_dir is not None),
+         "--wire-dtype/--stochastic-rounding require --workers (without "
+         "--checkpoint-dir)"),
+        (args.stochastic_rounding and args.wire_dtype != "fp16",
+         "--stochastic-rounding requires --wire-dtype fp16"),
+        (wire and args.bucket_mb <= 0,
+         "--wire-dtype requires the bucketed path (--bucket-mb > 0)"),
+    ]
+    for illegal, message in conflicts:
+        if illegal:
+            print(message, file=sys.stderr)
             return 2
     obs = _build_obs(args)
+    checkpoint = faults = growth = None
+    if args.checkpoint_dir is not None:
+        checkpoint = CheckpointManager(args.checkpoint_dir, keep_last=args.keep_last)
+        injector = (
+            LossFaultInjector(args.fault_rate, seed=args.seed)
+            if args.fault_rate > 0
+            else None
+        )
+        faults = Rollback(max_recoveries=args.max_recoveries, injector=injector)
+    if args.adaptive_batch:
+        controller = BatchSizeController(
+            wl.base_batch,
+            args.max_batch if args.max_batch is not None else max(wl.batches),
+            target_ratio=args.target_ratio if args.target_ratio is not None else 2.0,
+        )
+        growth = BatchGrowth(controller, noise_every=args.noise_every or 16)
 
     def train(obs=None):
-        if args.adaptive_batch:
-            return wl.run_adaptive(
-                max_batch=args.max_batch,
-                seed=args.seed, epochs=args.epochs, obs=obs,
-                workers=args.workers or 0,
-                noise_every=args.noise_every or 16,
-                target_ratio=(
-                    args.target_ratio if args.target_ratio is not None else 2.0
-                ),
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume, keep_last=args.keep_last,
-            )
-        if args.checkpoint_dir is not None:
-            return wl.run_resilient(
-                batch, schedule, checkpoint_dir=args.checkpoint_dir,
-                seed=args.seed, epochs=args.epochs, obs=obs,
-                resume=args.resume, keep_last=args.keep_last,
-                max_recoveries=args.max_recoveries,
-                fault_rate=args.fault_rate,
-                metrics_every=args.metrics_every,
-                workers=args.workers or 0,
-            )
-        if args.workers is not None:
-            return wl.run_parallel(
-                batch, schedule, workers=args.workers,
-                algorithm=args.allreduce_algo,
-                bucket_mb=args.bucket_mb if args.bucket_mb > 0 else None,
-                seed=args.seed, epochs=args.epochs, obs=obs,
-                metrics_every=args.metrics_every,
-                backend=args.parallel_backend,
-                wire_dtype=args.wire_dtype,
-                stochastic_rounding=args.stochastic_rounding,
-            )
-        return wl.run(batch, schedule, seed=args.seed, epochs=args.epochs,
-                      obs=obs, metrics_every=args.metrics_every)
+        return wl.run(
+            batch, schedule, seed=args.seed, epochs=args.epochs, obs=obs,
+            metrics_every=args.metrics_every,
+            workers=args.workers or 0,
+            backend=args.parallel_backend,
+            cluster_kwargs={
+                "algorithm": args.allreduce_algo,
+                "bucket_mb": args.bucket_mb if args.bucket_mb > 0 else None,
+                "wire_dtype": args.wire_dtype,
+                "stochastic_rounding": args.stochastic_rounding,
+            },
+            checkpoint=checkpoint, resume=args.resume, faults=faults,
+            growth=growth,
+        )
 
     if obs is None:
         result = train()
@@ -635,15 +584,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"{args.workload} @ batch {batch} "
         f"(paper {wl.paper_batch(batch)}): {wl.metric} = {score:.4g} [{status}]"
     )
-    if args.adaptive_batch:
-        trainer = wl.last_adaptive
+    if growth is not None:
         print(
             f"adaptive batch: {int(result.final_metrics['optimizer_steps'])} "
             f"steps, {int(result.final_metrics['growth_events'])} growth "
-            f"event(s), trajectory {trainer.trajectory}, final noise scale "
+            f"event(s), trajectory {growth.trajectory}, final noise scale "
             f"{result.final_metrics['noise_scale']:.1f}"
         )
-    if args.workers is not None and not args.adaptive_batch:
+    if args.workers is not None:
         overlap = result.final_metrics.get("overlap_fraction")
         extra = (
             f", {overlap:.0%} of comm hidden under backward"
@@ -656,15 +604,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"({args.parallel_backend}), {args.allreduce_algo} "
             f"all-reduce{wire}{extra}"
         )
-    if args.checkpoint_dir is not None and not args.adaptive_batch:
-        faults = int(result.final_metrics.get("faults_detected", 0))
-        recoveries = int(result.final_metrics.get("recoveries", 0))
+    if faults is not None:
         print(
-            f"resilience: {faults} fault(s) detected, {recoveries} "
-            f"recovery(ies), checkpoints in {args.checkpoint_dir}"
+            f"resilience: {faults.faults_detected} fault(s) detected, "
+            f"{faults.recoveries} recovery(ies), checkpoints in "
+            f"{args.checkpoint_dir}"
         )
     if obs is not None:
-        _emit_obs(obs, args, health=getattr(wl, "last_health", None))
+        _emit_obs(obs, args, health=faults.health if faults is not None else None)
     return 0 if not result.diverged else 1
 
 
@@ -697,7 +644,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         run_closed_loop,
         run_open_loop,
     )
-    from repro.utils.checkpoint import CheckpointManager
 
     _apply_engine_flags(args)
     wl = build_workload(args.workload, args.preset)

@@ -48,11 +48,12 @@ from repro.schedules import (
     linear_scaled_lr,
     sqrt_scaled_lr,
 )
+from repro.adapt import BatchGrowth
 from repro.parallel.buckets import DEFAULT_BUCKET_MB
 from repro.parallel.cluster import SimCluster
-from repro.parallel.faults import LossFaultInjector
 from repro.parallel.mp import MultiprocessCluster
-from repro.train import ResilientTrainer, Trainer, TrainResult
+from repro.train import Rollback, Trainer, TrainResult
+from repro.utils.checkpoint import CheckpointManager
 
 PRESETS = ("smoke", "small")
 
@@ -158,21 +159,58 @@ class Workload:
         obs=None,
         metrics_every: int = 0,
         amp: bool | None = None,
+        *,
+        workers: int = 0,
+        backend: str = "sim",
+        cluster_kwargs: dict[str, Any] | None = None,
+        checkpoint: CheckpointManager | None = None,
+        resume: bool = False,
+        faults: Rollback | None = None,
+        growth: BatchGrowth | None = None,
     ) -> TrainResult:
         """Train one configuration from scratch and evaluate each epoch.
 
-        ``obs`` is an optional :class:`repro.obs.Obs` handed through to the
-        trainer for span/metric instrumentation; ``metrics_every > 0``
-        additionally samples the registry into its time-series ring every
-        that many iterations.  ``amp`` selects emulated mixed-precision
-        training (fp16 storage + fp32 master weights + dynamic loss
-        scaling; ``None`` follows the ``REPRO_AMP`` env default).
+        The one entry point: model, loader and optimizer are built from
+        ``seed`` (in that order) and trained by a
+        :class:`~repro.train.trainer.Trainer`.  ``obs``/``metrics_every``
+        instrument the run; ``amp`` selects emulated mixed precision
+        (``None`` follows ``REPRO_AMP``).
+
+        ``workers > 0`` trains on the all-reduced gradients of a
+        data-parallel cluster — numerically the serial run to round-off.
+        ``backend="sim"`` runs the in-process
+        :class:`~repro.parallel.cluster.SimCluster`; ``"mp"`` real worker
+        processes (:class:`~repro.parallel.mp.MultiprocessCluster`, with
+        worker telemetry when ``obs`` is on).  ``cluster_kwargs`` go to
+        either (``algorithm``, ``bucket_mb``, ``wire_dtype``,
+        ``stochastic_rounding``).
+
+        ``checkpoint``/``resume`` give hardened per-epoch checkpoints and
+        bit-exact resume; ``faults`` is the fault policy; ``growth`` (a
+        :class:`~repro.adapt.BatchGrowth`, started at ``base_batch`` under
+        the base LEGW schedule) steers the batch by the online noise
+        scale — the workload supplies its loader factory, data seed,
+        warmup and cluster.
         """
         model = self.make_model(seed)
         train_iter = self.make_train_iter(batch, seed + 1)
         optimizer = self.make_optimizer(model, solver)
+        cluster = None
+        loss_fn = model.loss
+        if workers > 0:
+            cluster = self._make_cluster(
+                model, seed, workers, backend, obs, cluster_kwargs or {}
+            )
+            loss_fn = (
+                cluster.as_loss_fn() if backend == "sim" else cluster.as_loss_fn(model)
+            )
+        if growth is not None:
+            growth.make_train_iter = self.make_train_iter
+            growth.data_seed = seed + 1
+            growth.warmup_epochs = self.base_warmup_epochs
+            growth.cluster = cluster
         trainer = Trainer(
-            model.loss,
+            loss_fn,
             optimizer,
             schedule,
             train_iter,
@@ -181,8 +219,43 @@ class Workload:
             obs=obs,
             metrics_every=metrics_every,
             amp=amp,
+            model=model,
+            checkpoint=checkpoint,
+            faults=faults,
+            growth=growth,
         )
-        return trainer.run(epochs if epochs is not None else self.epochs)
+        try:
+            result = trainer.run(
+                epochs if epochs is not None else self.epochs, resume=resume
+            )
+        finally:
+            if backend == "mp" and cluster is not None:
+                cluster.close()
+        if cluster is not None:
+            result.final_metrics.setdefault("workers", float(workers))
+            if backend == "sim" and cluster.last_timeline is not None:
+                result.final_metrics.setdefault(
+                    "overlap_fraction", cluster.last_timeline.overlap_fraction
+                )
+        return result
+
+    def _make_cluster(self, model, seed, workers, backend, obs, kwargs):
+        if backend == "sim":
+            return SimCluster(list(model.parameters()), model.loss, workers, **kwargs)
+        if backend == "mp":
+            telemetry = obs is not None and (
+                obs.metrics is not None or obs.tracer is not None
+            )
+            # fork-start workers inherit this closure without pickling
+            return MultiprocessCluster(
+                lambda: self.make_model(seed),
+                workers,
+                timeout=120.0,
+                telemetry=telemetry,
+                tracer=obs.tracer if obs is not None else None,
+                **kwargs,
+            )
+        raise ValueError(f"unknown backend {backend!r} (sim or mp)")
 
     def run_parallel(
         self,
@@ -201,246 +274,25 @@ class Workload:
         wire_dtype: str | None = None,
         stochastic_rounding: bool = False,
     ) -> TrainResult:
-        """Train through a ``workers``-way data-parallel cluster.
-
-        Same construction as :meth:`run`, but every batch is sharded
-        across a cluster and the gradient comes back through the bucketed
-        all-reduce — numerically the run matches :meth:`run` to round-off
-        (the data-parallel equivalence the test suite pins down), while
-        exercising the real sharding/reduction machinery and recording
-        the ``allreduce/<algo>/*`` and ``parallel/overlap/*`` metrics.
-
-        ``backend`` selects the executor: ``"sim"`` (the default) runs
-        the in-process :class:`~repro.parallel.cluster.SimCluster`;
-        ``"mp"`` runs real OS worker processes through
-        :class:`~repro.parallel.mp.MultiprocessCluster`, with worker
-        telemetry (per-worker ``parallel/w<i>/...`` metrics and merged
-        traces) whenever ``obs`` carries a registry or tracer.
-
-        ``wire_dtype`` compresses gradient buckets on the wire
-        (``"fp16"``/``"bf16"``/``"fp32"``; see
-        :class:`~repro.parallel.buckets.GradientBuckets`), and
-        ``stochastic_rounding`` selects the unbiased-rounding fp16
-        ablation.  Both apply to either backend.
-        """
-        model = self.make_model(seed)
-        train_iter = self.make_train_iter(batch, seed + 1)
-        optimizer = self.make_optimizer(model, solver)
-        total_epochs = epochs if epochs is not None else self.epochs
-        if backend == "sim":
-            cluster = SimCluster(
-                list(model.parameters()),
-                model.loss,
-                workers,
-                algorithm=algorithm,
-                bucket_mb=bucket_mb,
-                wire_dtype=wire_dtype,
-                stochastic_rounding=stochastic_rounding,
-            )
-            loss_fn = cluster.as_loss_fn()
-        elif backend == "mp":
-            telemetry = obs is not None and (
-                obs.metrics is not None or obs.tracer is not None
-            )
-            # fork-start workers inherit this closure without pickling
-            cluster = MultiprocessCluster(
-                lambda: self.make_model(seed),
-                workers,
-                algorithm=algorithm,
-                bucket_mb=bucket_mb,
-                wire_dtype=wire_dtype,
-                stochastic_rounding=stochastic_rounding,
-                timeout=120.0,
-                telemetry=telemetry,
-                tracer=obs.tracer if obs is not None else None,
-            )
-            loss_fn = cluster.as_loss_fn(model)
-        else:
-            raise ValueError(f"unknown backend {backend!r} (sim or mp)")
-        trainer = Trainer(
-            loss_fn,
-            optimizer,
+        """:meth:`run` through a ``workers``-way data-parallel cluster,
+        with the cluster's reduction settings spelled out."""
+        return self.run(
+            batch,
             schedule,
-            train_iter,
-            eval_fn=self.make_eval_fn(model),
-            grad_clip=self.grad_clip,
+            solver=solver,
+            seed=seed,
+            epochs=epochs,
             obs=obs,
             metrics_every=metrics_every,
+            workers=workers,
+            backend=backend,
+            cluster_kwargs={
+                "algorithm": algorithm,
+                "bucket_mb": bucket_mb,
+                "wire_dtype": wire_dtype,
+                "stochastic_rounding": stochastic_rounding,
+            },
         )
-        try:
-            result = trainer.run(total_epochs)
-        finally:
-            if backend == "mp":
-                cluster.close()
-        result.final_metrics.setdefault("workers", float(workers))
-        if backend == "sim" and cluster.last_timeline is not None:
-            result.final_metrics.setdefault(
-                "overlap_fraction", cluster.last_timeline.overlap_fraction
-            )
-        return result
-
-    def run_resilient(
-        self,
-        batch: int,
-        schedule: Schedule,
-        *,
-        checkpoint_dir,
-        solver: str | None = None,
-        seed: int = 0,
-        epochs: int | None = None,
-        obs=None,
-        resume: bool = False,
-        keep_last: int | None = 3,
-        max_recoveries: int = 2,
-        fault_rate: float = 0.0,
-        metrics_every: int = 0,
-        workers: int = 0,
-        amp: bool | None = None,
-    ) -> TrainResult:
-        """Train with fault tolerance: hardened checkpoints + rollback.
-
-        The resilient counterpart of :meth:`run` — same model, data and
-        schedule construction, but driven by
-        :class:`~repro.train.resilience.ResilientTrainer`: checkpoints
-        land in ``checkpoint_dir`` each epoch, ``resume=True`` continues
-        a killed run bit-exactly, and ``fault_rate > 0`` arms seeded
-        NaN-loss injection (the recovery-path demo).  ``workers > 0``
-        computes gradients through a telemetry-carrying
-        :class:`~repro.parallel.mp.MultiprocessCluster` (the injector
-        stays driver-side, so a NaN fault still rolls back even though
-        the worker gradients were finite); ``metrics_every > 0`` turns on
-        time-series sampling plus the default training health rules.
-        ``amp`` selects emulated mixed-precision training (single-process
-        only — incompatible with ``workers > 0``; ``None`` follows the
-        ``REPRO_AMP`` env default).
-        """
-        model = self.make_model(seed)
-        train_iter = self.make_train_iter(batch, seed + 1)
-        optimizer = self.make_optimizer(model, solver)
-        injector = (
-            LossFaultInjector(fault_rate, seed=seed) if fault_rate > 0 else None
-        )
-        cluster = None
-        gradient_fn = None
-        if workers > 0:
-            telemetry = obs is not None and (
-                obs.metrics is not None or obs.tracer is not None
-            )
-            cluster = MultiprocessCluster(
-                lambda: self.make_model(seed),
-                workers,
-                timeout=120.0,
-                telemetry=telemetry,
-                tracer=obs.tracer if obs is not None else None,
-            )
-            def gradient_fn(batch, _cluster=cluster, _model=model):
-                return _cluster.gradient_step(_model, batch)
-        trainer = ResilientTrainer(
-            model,
-            optimizer,
-            schedule,
-            train_iter,
-            checkpoint_dir=checkpoint_dir,
-            gradient_fn=gradient_fn,
-            eval_fn=self.make_eval_fn(model),
-            grad_clip=self.grad_clip,
-            obs=obs,
-            keep_last=keep_last,
-            max_recoveries=max_recoveries,
-            fault_injector=injector,
-            metrics_every=metrics_every,
-            amp=amp,
-        )
-        self.last_health = trainer.health  # type: ignore[attr-defined]
-        try:
-            return trainer.run(
-                epochs if epochs is not None else self.epochs, resume=resume
-            )
-        finally:
-            if cluster is not None:
-                cluster.close()
-
-    def run_adaptive(
-        self,
-        *,
-        max_batch: int | None = None,
-        schedule: Schedule | None = None,
-        solver: str | None = None,
-        seed: int = 0,
-        epochs: int | None = None,
-        obs=None,
-        workers: int = 0,
-        noise_every: int = 16,
-        target_ratio: float = 2.0,
-        hysteresis: float = 1.1,
-        growth_factor: float = 2.0,
-        cooldown_epochs: int = 1,
-        rewarmup: bool = True,
-        checkpoint_dir=None,
-        resume: bool = False,
-        keep_last: int | None = 3,
-    ) -> TrainResult:
-        """Train with the batch size steered by the online noise scale.
-
-        Starts at ``base_batch`` under the base LEGW schedule and lets an
-        :class:`~repro.adapt.AdaptiveBatchTrainer` grow the batch toward
-        the measured critical batch (capped at ``max_batch``, default the
-        workload's largest ladder entry).  ``workers > 0`` computes
-        gradients through a :class:`~repro.parallel.cluster.SimCluster`
-        whose per-shard gradients feed the estimator for free; serial
-        runs probe with paired micro-batches every ``noise_every``
-        iterations.  ``rewarmup=False`` is the CLARS-style no-warmup
-        ablation (sqrt rescale only).  ``checkpoint_dir`` enables
-        hardened checkpoints and ``resume=True`` (which reproduces the
-        batch trajectory bit-exactly).  The trainer is stashed as
-        ``self.last_adaptive`` so callers can read the growth
-        trajectory.
-        """
-        from repro.adapt import (
-            AdaptiveBatchTrainer,
-            BatchSizeController,
-            OnlineNoiseScale,
-        )
-
-        total_epochs = epochs if epochs is not None else self.epochs
-        if max_batch is None:
-            max_batch = max(self.batches)
-        model = self.make_model(seed)
-        optimizer = self.make_optimizer(model, solver)
-        if schedule is None:
-            schedule = self.legw_schedule(self.base_batch, total_epochs)
-        cluster = None
-        if workers > 0:
-            cluster = SimCluster(list(model.parameters()), model.loss, workers)
-        controller = BatchSizeController(
-            self.base_batch,
-            max_batch,
-            target_ratio=target_ratio,
-            hysteresis=hysteresis,
-            growth_factor=growth_factor,
-            cooldown_epochs=cooldown_epochs,
-        )
-        trainer = AdaptiveBatchTrainer(
-            model,
-            optimizer,
-            schedule,
-            self.make_train_iter,
-            base_batch=self.base_batch,
-            controller=controller,
-            estimator=OnlineNoiseScale(),
-            data_seed=seed + 1,
-            cluster=cluster,
-            eval_fn=self.make_eval_fn(model),
-            grad_clip=self.grad_clip,
-            obs=obs,
-            noise_every=noise_every,
-            base_warmup_epochs=self.base_warmup_epochs,
-            rewarmup=rewarmup,
-            checkpoint_dir=checkpoint_dir,
-            keep_last=keep_last,
-        )
-        self.last_adaptive = trainer  # type: ignore[attr-defined]
-        return trainer.run(total_epochs, resume=resume)
 
     def run_legw(
         self, batch: int, seed: int = 0, epochs: int | None = None

@@ -25,12 +25,11 @@ batch-size and noise-scale trajectories.
 
 from __future__ import annotations
 
-import math
-
+from repro.adapt import BatchGrowth, BatchSizeController
 from repro.experiments.common import build_workload, score_of
-from repro.optim.clip import clip_grad_norm
+from repro.experiments.extension_growbatch import train_grow_batch
 from repro.parallel.perfmodel import DeviceModel
-from repro.schedules import ConstantLR, GradualWarmup, GrowBatchSchedule
+from repro.schedules import GrowBatchSchedule
 from repro.utils.tables import Table
 
 # same fixed-overhead flavour as extension_growbatch; units arbitrary
@@ -44,51 +43,16 @@ def _modeled_time(wl, epoch_batches: list[int]) -> float:
     )
 
 
-def _adaptive_epoch_batches(trainer, epochs: int) -> list[int]:
-    """Per-epoch batch sizes from an adaptive trainer's growth trajectory."""
+def _adaptive_epoch_batches(growth, epochs: int) -> list[int]:
+    """Per-epoch batch sizes from an adaptive run's growth trajectory."""
     batches = []
     for epoch in range(epochs):
-        batch = trainer.trajectory[0][1]
-        for at_epoch, value in trainer.trajectory:
+        batch = growth.trajectory[0][1]
+        for at_epoch, value in growth.trajectory:
             if epoch >= at_epoch:
                 batch = value
         batches.append(batch)
     return batches
-
-
-def _train_milestone(wl, grow: GrowBatchSchedule, seed: int) -> tuple[float, int]:
-    """Open-loop milestone growth (LR flat after base warmup).
-
-    Returns (final metric, optimizer steps); the modeled time comes from
-    the schedule's ladder.
-    """
-    model = wl.make_model(seed)
-    optimizer = wl.make_optimizer(model)
-    warmup_iters = int(round(wl.base_warmup_epochs * wl.steps_per_epoch(wl.base_batch)))
-    schedule = GradualWarmup(ConstantLR(wl.base_lr), warmup_iters)
-    eval_fn = wl.make_eval_fn(model)
-    params = [p for _, p in optimizer.params]
-
-    iteration = 0
-    current_batch = None
-    train_iter = None
-    for epoch in range(wl.epochs):
-        batch_size = grow.batch_at(epoch)
-        if batch_size != current_batch:
-            train_iter = wl.make_train_iter(batch_size, seed + 1 + epoch)
-            current_batch = batch_size
-        for batch in train_iter:
-            lr = schedule(iteration)
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            if not math.isfinite(float(loss.data)):
-                return float("nan"), iteration
-            loss.backward()
-            if wl.grad_clip is not None:
-                clip_grad_norm(params, wl.grad_clip)
-            optimizer.step(lr=lr)
-            iteration += 1
-    return float(eval_fn()[wl.metric]), iteration
 
 
 def run(preset: str = "smoke", seed: int = 0, workload: str = "mnist") -> dict:
@@ -115,10 +79,11 @@ def run(preset: str = "smoke", seed: int = 0, workload: str = "mnist") -> dict:
         factor=2.0,
         max_batch=max_batch,
     )
-    mile_score, mile_steps = _train_milestone(wl, grow, seed)
+    milestone = train_grow_batch(wl, grow, seed)
     arms["milestone"] = {
-        "score": mile_score,
-        "steps": mile_steps,
+        "score": score_of(milestone, wl.metric),
+        # every completed step logged one loss point; a divergence adds one
+        "steps": len(milestone.log.steps("loss")) - int(milestone.diverged),
         "time": _modeled_time(wl, grow.ladder(wl.epochs)),
         "final_batch": grow.batch_at(wl.epochs - 1),
     }
@@ -126,14 +91,18 @@ def run(preset: str = "smoke", seed: int = 0, workload: str = "mnist") -> dict:
     # arms 3+4: closed loop, with and without the LEGW re-warmup
     series: dict[str, list[float]] = {}
     for key, rewarmup in (("adaptive", True), ("adaptive_nowarmup", False)):
-        result = wl.run_adaptive(
-            max_batch=max_batch,
-            seed=seed,
+        growth = BatchGrowth(
+            BatchSizeController(wl.base_batch, max_batch),
             noise_every=noise_every,
             rewarmup=rewarmup,
         )
-        trainer = wl.last_adaptive
-        epoch_batches = _adaptive_epoch_batches(trainer, wl.epochs)
+        result = wl.run(
+            wl.base_batch,
+            wl.legw_schedule(wl.base_batch),
+            seed=seed,
+            growth=growth,
+        )
+        epoch_batches = _adaptive_epoch_batches(growth, wl.epochs)
         arms[key] = {
             "score": score_of(result, wl.metric),
             "steps": int(result.final_metrics.get("optimizer_steps", 0)),

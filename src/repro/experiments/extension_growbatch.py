@@ -30,57 +30,43 @@ from :mod:`repro.adapt` and beating this recipe on both axes.
 
 from __future__ import annotations
 
-import math
-
-from repro.data import BatchIterator
-from repro.experiments.common import build_workload
-from repro.optim.clip import clip_grad_norm
+from repro.experiments.common import build_workload, score_of
 from repro.parallel.perfmodel import DeviceModel
-from repro.schedules import GradualWarmup, ConstantLR, GrowBatchSchedule, MultiStepDecay
+from repro.schedules import GradualWarmup, ConstantLR, GrowBatchSchedule
+from repro.train import LambdaCallback, Trainer, TrainResult
 from repro.utils.tables import Table
 
 # same fixed-overhead flavour as the paper's accelerators; units arbitrary
 RESNET_DEVICE = DeviceModel(t_fixed=256.0, t_sample=1.0)
 
 
-def _train_grow_batch(wl, grow: GrowBatchSchedule, seed: int) -> tuple[float, float]:
-    """Custom loop: rebuild the loader whenever the batch schedule says so.
+def train_grow_batch(wl, grow: GrowBatchSchedule, seed: int) -> TrainResult:
+    """Train ``wl`` with the batch stepped up at ``grow``'s milestones.
 
-    Returns (final metric, modeled wall time).
+    The LR stays at the base after the base warmup (Smith et al.'s
+    recipe); the loader is rebuilt at each milestone, and the model is
+    evaluated once, after the last epoch.
     """
     model = wl.make_model(seed)
-    optimizer = wl.make_optimizer(model)
-    base_spe = wl.steps_per_epoch(wl.base_batch)
-    warmup_iters = int(round(wl.base_warmup_epochs * base_spe))
-    schedule = GradualWarmup(ConstantLR(wl.base_lr), warmup_iters)
-    eval_fn = wl.make_eval_fn(model)
-    params = [p for _, p in optimizer.params]
+    warmup_iters = int(round(wl.base_warmup_epochs * wl.steps_per_epoch(wl.base_batch)))
+    trainer = Trainer(
+        model.loss,
+        wl.make_optimizer(model),
+        GradualWarmup(ConstantLR(wl.base_lr), warmup_iters),
+        wl.make_train_iter(grow.batch_at(0), seed + 1),
+        grad_clip=wl.grad_clip,
+    )
 
-    iteration = 0
-    modeled_time = 0.0
-    current_batch = None
-    train_iter = None
-    for epoch in range(wl.epochs):
-        batch_size = grow.batch_at(epoch)
-        if batch_size != current_batch:
-            train_iter = wl.make_train_iter(batch_size, seed + 1 + epoch)
-            current_batch = batch_size
-        for batch in train_iter:
-            lr = schedule(iteration)
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            if not math.isfinite(float(loss.data)):
-                return float("nan"), modeled_time
-            loss.backward()
-            if wl.grad_clip is not None:
-                clip_grad_norm(params, wl.grad_clip)
-            optimizer.step(lr=lr)
-            iteration += 1
-        modeled_time += wl.steps_per_epoch(batch_size) * RESNET_DEVICE.iteration_time(
-            batch_size
-        )
-    metrics = eval_fn()
-    return float(metrics[wl.metric]), modeled_time
+    def next_loader(epoch: int, metrics) -> None:
+        batch = grow.batch_at(epoch + 1)
+        if batch != grow.batch_at(epoch):
+            trainer.train_iter = wl.make_train_iter(batch, seed + 2 + epoch)
+
+    trainer.callbacks.append(LambdaCallback(on_epoch_end=next_loader))
+    result = trainer.run(wl.epochs)
+    if not result.diverged:
+        result.final_metrics.update(wl.make_eval_fn(model)())
+    return result
 
 
 def run(preset: str = "smoke", seed: int = 0) -> dict:
@@ -99,7 +85,12 @@ def run(preset: str = "smoke", seed: int = 0) -> dict:
     grow = GrowBatchSchedule(
         wl.base_batch, milestones, factor=4.0, max_batch=wl.n_train // 2
     )
-    grow_score, grow_time = _train_grow_batch(wl, grow, seed)
+    grown = train_grow_batch(wl, grow, seed)
+    grow_score = score_of(grown, wl.metric)
+    grow_time = sum(
+        wl.steps_per_epoch(b) * RESNET_DEVICE.iteration_time(b)
+        for b in grow.ladder(grown.epochs_completed)
+    )
 
     table = Table(
         "Extension: decay the LR vs grow the batch (mini-ResNet, "

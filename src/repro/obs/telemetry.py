@@ -20,8 +20,8 @@ per-interval scalars, not raw snapshots: a gauge contributes its value, a
 counter its increment since the previous sample, a histogram the mean of
 the observations that arrived in the interval.  Fired rules become
 structured :class:`HealthEvent` records that consumers act on — the
-:class:`~repro.train.resilience.ResilientTrainer` treats a critical event
-as a rollback trigger and the serving loop raises a shed-rate alarm.
+trainer's :class:`~repro.train.resilience.Rollback` fault policy treats a
+critical event as a rollback trigger and the serving loop raises a shed-rate alarm.
 
 The stock rule sets (:func:`default_training_rules`,
 :func:`default_serving_rules`) watch exactly the signals the paper's

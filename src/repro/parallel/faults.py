@@ -18,8 +18,8 @@ Two injectors cover the fault model:
   per-shard timeout, or just to exercise slow-path tolerance), and
   NaN-poisoned gradients (tripping the non-finite sanity gate);
 * :class:`LossFaultInjector` — trainer-level NaN-poisoned losses, the
-  divergence stand-in that drives
-  :class:`~repro.train.resilience.ResilientTrainer`'s rollback path.
+  divergence stand-in that drives the trainer's
+  :class:`~repro.train.resilience.Rollback` fault policy.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ from repro.train.metrics import (
     ngram_counts,
 )
 from repro.train.trainer import Trainer, TrainResult
-from repro.train.accumulate import AccumulatingTrainer, accumulate_gradients
-from repro.train.resilience import RecoverySchedule, ResilientTrainer
+from repro.train.accumulate import accumulate_gradients
+from repro.train.resilience import RecoverySchedule, Rollback
 from repro.train.tuner import GridTuner, TuningOutcome
 from repro.train.callbacks import (
     Callback,
@@ -20,7 +20,6 @@ from repro.train.callbacks import (
 )
 
 __all__ = [
-    "AccumulatingTrainer",
     "accumulate_gradients",
     "accuracy",
     "top_k_accuracy",
@@ -29,7 +28,7 @@ __all__ = [
     "ngram_counts",
     "Trainer",
     "TrainResult",
-    "ResilientTrainer",
+    "Rollback",
     "RecoverySchedule",
     "GridTuner",
     "TuningOutcome",

@@ -2,25 +2,20 @@
 
 The paper's large-batch experiments assume the hardware can hold the
 batch; on memory-limited devices the standard trick is to accumulate
-gradients over ``k`` micro-batches before one optimizer step.  For a
-*mean* loss the accumulated average gradient equals the large-batch
-gradient exactly, so LEGW schedules tuned for batch ``k·b`` apply
-unchanged — the test suite pins down this equivalence against both the
-single-process large batch and :class:`~repro.parallel.cluster.SimCluster`.
+gradients over ``k`` micro-batches before one optimizer step
+(``Trainer(..., accum_steps=k)``).  For a *mean* loss the accumulated
+average gradient equals the large-batch gradient exactly, so LEGW
+schedules tuned for batch ``k·b`` apply unchanged — the test suite pins
+down this equivalence against both the single-process large batch and
+:class:`~repro.parallel.cluster.SimCluster`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-from repro.optim.base import Optimizer
-from repro.optim.clip import clip_grad_norm
-from repro.schedules.base import Schedule
-from repro.utils.log import RunLog
-from repro.train.trainer import TrainResult, _record_point
 
 
 def accumulate_gradients(
@@ -53,103 +48,3 @@ def accumulate_gradients(
         loss.backward(np.asarray(w))
         total += w * float(loss.data)
     return total
-
-
-class AccumulatingTrainer:
-    """A trainer that forms each logical batch from ``accum_steps``
-    consecutive loader batches.
-
-    With a loader producing micro-batches of size ``b``, this trains at
-    logical batch ``accum_steps * b`` — schedules and iteration counting
-    operate on *logical* iterations, matching how the paper counts steps.
-    A trailing ragged group at the epoch boundary (fewer than
-    ``accum_steps`` micro-batches remaining) is weighted by its true size.
-    """
-
-    def __init__(
-        self,
-        loss_fn: Callable[[object], "object"],
-        optimizer: Optimizer,
-        schedule: Schedule,
-        train_iter: Iterable,
-        accum_steps: int,
-        eval_fn: Callable[[], dict[str, float]] | None = None,
-        grad_clip: float | None = None,
-    ) -> None:
-        if accum_steps < 1:
-            raise ValueError("accum_steps must be >= 1")
-        self.loss_fn = loss_fn
-        self.optimizer = optimizer
-        self.schedule = schedule
-        self.train_iter = train_iter
-        self.accum_steps = accum_steps
-        self.eval_fn = eval_fn
-        self.grad_clip = grad_clip
-
-    def _micro_batch_size(self, batch) -> int:
-        first = batch[0] if isinstance(batch, (tuple, list)) else batch
-        return len(first)
-
-    def run(self, epochs: int) -> TrainResult:
-        log = RunLog()
-        result = TrainResult(log=log)
-        iteration = 0
-        prev_epoch_batches: int | None = None
-        for epoch in range(epochs):
-            n_batches = 0
-            group: list = []
-            for batch in self.train_iter:
-                n_batches += 1
-                group.append(batch)
-                if len(group) < self.accum_steps:
-                    continue
-                iteration = self._apply(group, iteration, log, result)
-                if result.diverged:
-                    result.epochs_completed = epoch
-                    return result
-                group = []
-            if group:  # ragged tail group at the epoch boundary
-                iteration = self._apply(group, iteration, log, result)
-                if result.diverged:
-                    result.epochs_completed = epoch
-                    return result
-            if n_batches == 0 and prev_epoch_batches:
-                # a generator train_iter is exhausted after its first epoch;
-                # silently "completing" the rest with zero iterations would
-                # corrupt every fixed-epoch comparison built on this loop
-                raise ValueError(
-                    f"train_iter yielded no batches in epoch {epoch} after "
-                    f"{prev_epoch_batches} in the previous one — it is a "
-                    "one-shot iterator (e.g. a generator); pass a re-iterable "
-                    "like BatchIterator"
-                )
-            prev_epoch_batches = n_batches
-            result.epochs_completed = epoch + 1
-            if self.eval_fn is not None:
-                metrics = self.eval_fn()
-                for name, value in metrics.items():
-                    log.record(f"eval_{name}", epoch, value)
-                result.final_metrics = dict(metrics)
-        result.final_metrics.setdefault("diverged", 0.0)
-        return result
-
-    def _apply(self, group: list, iteration: int, log: RunLog, result: TrainResult) -> int:
-        sizes = np.array([self._micro_batch_size(b) for b in group], dtype=float)
-        weights = (sizes / sizes.sum()).tolist()
-        params = [p for _, p in self.optimizer.params]
-        loss = accumulate_gradients(self.loss_fn, group, params, weights)
-        lr = self.schedule(iteration)
-        if not math.isfinite(loss):
-            result.diverged = True
-            result.final_metrics["diverged"] = 1.0
-            # loss and lr are appended together so the series can never
-            # desynchronize — same contract as Trainer._record_point
-            _record_point(log, iteration, loss, lr, None)
-            return iteration
-        norm = None
-        if self.grad_clip is not None:
-            norm = clip_grad_norm(params, self.grad_clip)
-        self.optimizer.step(lr=lr)
-        self.optimizer.zero_grad()
-        _record_point(log, iteration, loss, lr, norm)
-        return iteration + 1

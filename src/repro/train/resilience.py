@@ -1,18 +1,19 @@
-"""Fault-tolerant training: divergence rollback + hardened resume.
+"""Fault tolerance: the LR envelope and the rollback fault policy.
 
 The paper's whole argument concerns the unstable early phase of
 large-batch training — warmup exists because large peak LRs diverge
-early.  The plain :class:`~repro.train.trainer.Trainer` *records* a
+early.  By default :class:`~repro.train.trainer.Trainer` *records* a
 NaN/inf loss and stops (the comprehensive-tuning figures need diverged
-runs as data points); :class:`ResilientTrainer` instead treats it as a
-recoverable fault and applies the paper-faithful remedy:
+runs as data points); with a :class:`Rollback` fault policy it instead
+treats the fault as recoverable and applies the paper-faithful remedy:
 
-1. restore the last good checkpoint (model, optimizer, loss scaler, EMA
-   shadow, data-shuffling RNG — the full bit-exact state);
+1. restore the last good checkpoint (model, optimizer and every named
+   component — loss scaler, EMA shadow, LR envelope, batch-growth state,
+   data-shuffling RNG — the full bit-exact state);
 2. back off the peak learning rate by ``lr_backoff`` and re-enter a
    linear warmup ramp from the restored iteration;
 3. retry, up to ``max_recoveries`` times; only then give up and report
-   divergence like the plain trainer would.
+   divergence like the default policy would.
 
 Checkpoints are written through the hardened
 :class:`~repro.utils.checkpoint.CheckpointManager` (atomic writes,
@@ -31,32 +32,20 @@ points stay in the series, and the replayed iterations append after them.
 from __future__ import annotations
 
 import math
-import pathlib
-from typing import Callable, Iterable
+from typing import Callable
 
-import numpy as np
-
-from repro.obs import Obs
-from repro.obs.metrics import GRAD_NORM_BUCKETS
-from repro.obs.telemetry import HealthMonitor, default_training_rules
-from repro.optim.base import Optimizer
-from repro.optim.clip import clip_grad_norm
-from repro.optim.ema import EMAWeights
-from repro.optim.loss_scaler import DynamicLossScaler
+from repro.obs.telemetry import HealthMonitor
 from repro.schedules.base import Schedule
-from repro.tensor.amp import amp_enabled, autocast
-from repro.train.trainer import TrainResult, _record_point
-from repro.utils.checkpoint import CheckpointManager, read_checkpoint_extra
-from repro.utils.log import RunLog
 
 
 class RecoverySchedule(Schedule):
     """A base schedule under a recovery envelope.
 
-    The envelope multiplies the base LR by an accumulated back-off scale
-    and, after each recovery, applies a fresh linear warmup ramp from the
-    restored iteration — "re-enter warmup at a backed-off peak LR".  With
-    no recoveries it is the identity wrapper.
+    The envelope multiplies the base LR by an accumulated scale and, after
+    each change, applies a fresh linear warmup ramp from that iteration.
+    Fault recovery *backs off* the scale ("re-enter warmup at a
+    backed-off peak LR"); batch growth *scales it up* by the Sqrt Scaling
+    factor (:meth:`grow`).  With neither it is the identity wrapper.
     """
 
     def __init__(self, base: Schedule) -> None:
@@ -78,393 +67,89 @@ class RecoverySchedule(Schedule):
         self.rewarmup_from = int(at_iteration)
         self.rewarmup_steps = int(rewarmup_steps)
 
-    # envelope state rides in checkpoint ``extra`` scalars so a resumed
-    # process continues under the same backed-off schedule
-    def state(self) -> dict[str, float]:
+    def grow(self, batch_ratio: float, at_iteration: int, rewarmup_steps: int) -> None:
+        """Sqrt-scale the LR for a batch grown by ``batch_ratio``.
+
+        ``rewarmup_steps > 0`` re-enters the scaled LR through a linear
+        ramp from ``at_iteration``; ``0`` applies the rescale alone.
+        """
+        if batch_ratio <= 0:
+            raise ValueError("batch_ratio must be positive")
+        self.lr_scale *= math.sqrt(batch_ratio)
+        if rewarmup_steps > 0:
+            self.rewarmup_from = int(at_iteration)
+            self.rewarmup_steps = int(rewarmup_steps)
+
+    # checkpointed as the ``envelope`` component, so a resumed process
+    # continues under the same backed-off / grown schedule
+    def state_dict(self) -> dict[str, float | int]:
         return {
             "lr_scale": self.lr_scale,
-            "rewarmup_from": -1.0 if self.rewarmup_from is None else float(self.rewarmup_from),
-            "rewarmup_steps": float(self.rewarmup_steps),
+            "rewarmup_from": -1 if self.rewarmup_from is None else self.rewarmup_from,
+            "rewarmup_steps": self.rewarmup_steps,
         }
 
-    def load_state(self, state: dict[str, float]) -> None:
+    def load_state_dict(self, state) -> None:
         self.lr_scale = float(state["lr_scale"])
-        raw = float(state["rewarmup_from"])
-        self.rewarmup_from = None if raw < 0 else int(raw)
+        raw = int(state["rewarmup_from"])
+        self.rewarmup_from = None if raw < 0 else raw
         self.rewarmup_steps = int(state["rewarmup_steps"])
 
 
-class ResilientTrainer:
-    """Drive a model through ``epochs`` epochs, surviving faults.
+class Rollback:
+    """Fault policy: roll back to the last good checkpoint and re-warm.
+
+    Pass as ``Trainer(..., faults=Rollback(...))`` together with a
+    checkpoint manager.  A fault is a non-finite training loss (after the
+    optional ``injector``), a non-finite eval metric, or a **critical**
+    :class:`~repro.obs.telemetry.HealthEvent` raised by ``health`` on a
+    periodic metrics sample.
 
     Parameters
     ----------
-    model:
-        The model being trained — unlike the plain trainer, the model
-        object is needed here because rollback must snapshot and restore
-        its full state.
-    optimizer / schedule / train_iter / eval_fn / grad_clip / obs:
-        As for :class:`~repro.train.trainer.Trainer`.  ``schedule`` is
-        wrapped in a :class:`RecoverySchedule`; ``train_iter`` should be
-        re-iterable with a ``steps_per_epoch`` attribute, and when it
-        exposes a ``rng`` generator (both library iterators do) the
-        shuffling stream is checkpointed for bit-exact resume.
-    checkpoint_dir / keep_last / checkpoint_every:
-        Hardened checkpoints land in ``checkpoint_dir`` every
-        ``checkpoint_every`` epochs (and always after the final epoch),
-        keeping the newest ``keep_last`` files.
     max_recoveries / lr_backoff / rewarmup_iters:
-        The recovery policy: how many rollbacks before giving up, the
+        How many rollbacks before giving up and reporting divergence, the
         peak-LR back-off factor per recovery, and the re-warmup ramp
-        length (default: one epoch of iterations).
-    loss_fn:
-        Defaults to ``model.loss``.
-    gradient_fn:
-        Optional ``gradient_fn(batch) -> float`` that computes the loss
-        *and installs gradients* itself — the hook through which a
-        :class:`~repro.parallel.mp.MultiprocessCluster` drives this loop.
-        Mutually exclusive with ``loss_scaler``.
-    loss_scaler / ema:
-        Optional :class:`DynamicLossScaler` (scaled backward, skip on
-        overflow) and :class:`EMAWeights` (updated after each step); both
-        are covered by checkpoints.
-    amp:
-        Emulated mixed-precision, as for
-        :class:`~repro.train.trainer.Trainer`: autocast forward, fp16
-        gradient storage, a default loss scaler when none is given, and
-        float64 master weights in the optimizer (checkpointed with the
-        rest of the optimizer state, so rollback and resume stay
-        bit-exact).  ``None`` follows the ``REPRO_AMP`` default; a
-        cluster-driven ``gradient_fn`` keeps the default off and rejects
-        an explicit ``True`` (scale the wire instead — see
-        ``wire_dtype`` in :mod:`repro.parallel.buckets`).
-    fault_injector:
+        length (default: one epoch of the current loader).
+    injector:
         Optional ``(iteration, loss) -> loss`` hook, e.g.
         :class:`~repro.parallel.faults.LossFaultInjector` — how the tests
         and the demo produce deterministic divergence.
-    metrics_every / health:
-        ``metrics_every > 0`` samples the metrics registry into its
-        time-series ring every that many iterations and routes each
-        sample through a :class:`~repro.obs.telemetry.HealthMonitor`
-        (``health``, defaulting to one with
-        :func:`~repro.obs.telemetry.default_training_rules`).  Any
-        **critical** :class:`~repro.obs.telemetry.HealthEvent` raised on
-        a periodic sample triggers a rollback; a non-finite loss is
-        additionally force-sampled before its rollback so the
+    health:
+        A :class:`~repro.obs.telemetry.HealthMonitor` fed every metrics
+        sample; a trainer with ``metrics_every > 0`` installs one with
+        :func:`~repro.obs.telemetry.default_training_rules` when omitted.
+        A non-finite loss is force-sampled before its rollback so the
         ``nonfinite-loss`` rule fires as a structured event on the very
-        iteration it recovers from.  The monitor's event log feeds the
-        run report.
+        iteration it recovers from.
+
+    The fault counters ride in checkpoints as the ``faults`` component,
+    so a resumed run keeps its recovery budget.
     """
 
     def __init__(
         self,
-        model,
-        optimizer: Optimizer,
-        schedule: Schedule,
-        train_iter: Iterable,
-        *,
-        checkpoint_dir: str | pathlib.Path,
-        loss_fn: Callable[[object], "object"] | None = None,
-        gradient_fn: Callable[[object], float] | None = None,
-        eval_fn: Callable[[], dict[str, float]] | None = None,
-        grad_clip: float | None = None,
-        obs: Obs | None = None,
-        keep_last: int | None = 3,
-        checkpoint_every: int = 1,
         max_recoveries: int = 2,
         lr_backoff: float = 0.5,
         rewarmup_iters: int | None = None,
-        loss_scaler: DynamicLossScaler | None = None,
-        amp: bool | None = None,
-        ema: EMAWeights | None = None,
-        fault_injector: Callable[[int, float], float] | None = None,
-        metrics_every: int = 0,
+        injector: Callable[[int, float], float] | None = None,
         health: HealthMonitor | None = None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if max_recoveries < 0:
             raise ValueError("max_recoveries must be >= 0")
         if not 0.0 < lr_backoff <= 1.0:
             raise ValueError("lr_backoff must be in (0, 1]")
-        if gradient_fn is not None and loss_scaler is not None:
-            raise ValueError("gradient_fn and loss_scaler are mutually exclusive")
-        if amp and gradient_fn is not None:
-            raise ValueError(
-                "amp=True and gradient_fn are mutually exclusive: a cluster "
-                "installs pre-averaged gradients the scaler never saw; use "
-                "wire_dtype compression on the cluster instead"
-            )
-        if amp is None:
-            amp = amp_enabled() and gradient_fn is None
-        self.model = model
-        self.optimizer = optimizer
-        self.envelope = RecoverySchedule(schedule)
-        self.train_iter = train_iter
-        self.loss_fn = loss_fn if loss_fn is not None else model.loss
-        self.gradient_fn = gradient_fn
-        self.eval_fn = eval_fn
-        self.grad_clip = grad_clip
-        self.obs = obs
-        self.manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
-        self.checkpoint_every = int(checkpoint_every)
         self.max_recoveries = int(max_recoveries)
         self.lr_backoff = float(lr_backoff)
-        if rewarmup_iters is None:
-            rewarmup_iters = int(getattr(train_iter, "steps_per_epoch", 1) or 1)
-        self.rewarmup_iters = int(rewarmup_iters)
-        self.amp = bool(amp)
-        if self.amp and loss_scaler is None:
-            loss_scaler = DynamicLossScaler()
-        if self.amp:
-            optimizer.use_master_weights()
-        self.loss_scaler = loss_scaler
-        self.ema = ema
-        self.fault_injector = fault_injector
-        if metrics_every < 0:
-            raise ValueError("metrics_every must be >= 0")
-        self.metrics_every = int(metrics_every)
-        if health is None and metrics_every > 0:
-            health = HealthMonitor(default_training_rules())
+        self.rewarmup_iters = rewarmup_iters
+        self.injector = injector
         self.health = health
         self.recoveries = 0
         self.faults_detected = 0
 
-    # -- checkpoint plumbing ------------------------------------------------
+    def state_dict(self) -> dict[str, int]:
+        return {"recoveries": self.recoveries, "faults_detected": self.faults_detected}
 
-    def _data_rng(self):
-        return getattr(self.train_iter, "rng", None)
-
-    def _save(self, iteration: int, epoch: int) -> None:
-        extra = {
-            "epoch": float(epoch),
-            "recoveries": float(self.recoveries),
-            "faults_detected": float(self.faults_detected),
-            **self.envelope.state(),
-        }
-        self.manager.save(
-            self.model,
-            self.optimizer,
-            iteration,
-            loss_scaler=self.loss_scaler,
-            ema=self.ema,
-            rng=self._data_rng(),
-            extra=extra,
-        )
-
-    def _restore_latest(self, restore_policy: bool) -> tuple[int, int] | None:
-        """Load the newest good checkpoint; returns (iteration, epoch).
-
-        ``restore_policy`` additionally restores the recovery envelope and
-        fault counters — wanted on process resume, *not* on rollback
-        (rollback keeps the in-memory counters and then backs off
-        further).
-        """
-        loaded = self.manager.load_latest(
-            self.model,
-            self.optimizer,
-            loss_scaler=self.loss_scaler,
-            ema=self.ema,
-            rng=self._data_rng(),
-        )
-        if loaded is None:
-            return None
-        iteration, path = loaded
-        extra = read_checkpoint_extra(path)
-        if restore_policy:
-            self.envelope.load_state(extra)
-            self.recoveries = int(extra.get("recoveries", 0))
-            self.faults_detected = int(extra.get("faults_detected", 0))
-        return iteration, int(extra.get("epoch", 0))
-
-    # -- fault bookkeeping --------------------------------------------------
-
-    def _count(self, name: str) -> None:
-        if self.obs is not None and self.obs.metrics is not None:
-            self.obs.metrics.counter(name).inc()
-
-    # -- the loop -----------------------------------------------------------
-
-    def run(self, epochs: int, log_every: int = 1, resume: bool = False) -> TrainResult:
-        obs = self.obs
-        if obs is not None and obs.tracer is not None:
-            with obs.span("resilient_train"):
-                return self._run(epochs, log_every, resume)
-        return self._run(epochs, log_every, resume)
-
-    def _sample_health(self, mreg, iteration: int) -> bool:
-        """Sample the registry, run the monitor; True on a critical event."""
-        sample = mreg.sample(step=iteration)
-        if self.health is None:
-            return False
-        return any(ev.critical for ev in self.health.observe(sample))
-
-    def _run(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
-        obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        mreg = obs.metrics if obs is not None else None
-        sample_every = self.metrics_every if mreg is not None else 0
-        log = RunLog()
-        result = TrainResult(log=log)
-
-        iteration = 0
-        epoch = 0
-        if resume:
-            restored = self._restore_latest(restore_policy=True)
-            if restored is not None:
-                iteration, epoch = restored
-        if not resume or self.manager.latest() is None:
-            # the baseline checkpoint: an epoch-0 fault needs a rollback target
-            self._save(iteration, epoch)
-
-        result.epochs_completed = epoch
-        prev_epoch_batches: int | None = None
-        while epoch < epochs:
-            faulted_at: int | None = None
-            n_batches = 0
-            for batch in self.train_iter:
-                n_batches += 1
-                lr = self.envelope(iteration)
-                self.optimizer.zero_grad()
-                norm: float | None = None
-                if self.gradient_fn is not None:
-                    if tracer is None:
-                        loss_val = float(self.gradient_fn(batch))
-                    else:
-                        with obs.span("gradient"):
-                            loss_val = float(self.gradient_fn(batch))
-                else:
-                    if self.amp:
-                        with autocast():
-                            if tracer is None:
-                                loss = self.loss_fn(batch)
-                            else:
-                                with obs.span("forward"):
-                                    loss = self.loss_fn(batch)
-                    elif tracer is None:
-                        loss = self.loss_fn(batch)
-                    else:
-                        with obs.span("forward"):
-                            loss = self.loss_fn(batch)
-                    loss_val = float(loss.data)
-                if self.fault_injector is not None:
-                    loss_val = self.fault_injector(iteration, loss_val)
-                if not math.isfinite(loss_val):
-                    if sample_every:
-                        # force-sample so the nonfinite-loss rule raises a
-                        # structured HealthEvent on the iteration being
-                        # rolled back, with the bad value in the series
-                        mreg.gauge("train/loss").set(loss_val)
-                        self._sample_health(mreg, iteration)
-                    faulted_at = iteration
-                    break
-                if self.gradient_fn is None:
-                    scaler = self.loss_scaler
-                    backprop = loss if scaler is None else scaler.scaled(loss)
-                    if tracer is None:
-                        backprop.backward()
-                    else:
-                        with obs.span("backward"):
-                            backprop.backward()
-                    if self.amp:
-                        # emulated fp16 gradient storage: genuine overflow
-                        # to inf is the signal the scaler skips on
-                        with np.errstate(over="ignore"):
-                            for _, p in self.optimizer.params:
-                                if p.grad is not None:
-                                    p.grad = p.grad.astype(np.float16)
-                    if scaler is not None:
-                        params = [p for _, p in self.optimizer.params]
-                        if not scaler.unscale_and_check(params):
-                            # overflow: skip the step, scale backed off —
-                            # not a divergence, the schedule marches on
-                            iteration += 1
-                            continue
-                if self.grad_clip is not None:
-                    params = [p for _, p in self.optimizer.params]
-                    norm = clip_grad_norm(params, self.grad_clip)
-                if tracer is None:
-                    self.optimizer.step(lr=lr)
-                else:
-                    with obs.span("step"):
-                        self.optimizer.step(lr=lr)
-                if self.ema is not None:
-                    self.ema.update()
-                if mreg is not None:
-                    mreg.counter("train/iterations").inc()
-                    mreg.gauge("train/loss").set(loss_val)
-                    mreg.gauge("train/lr").set(lr)
-                    if norm is not None:
-                        mreg.histogram(
-                            "train/grad_norm", GRAD_NORM_BUCKETS
-                        ).observe(norm)
-                    if sample_every and (iteration + 1) % sample_every == 0:
-                        if self._sample_health(mreg, iteration):
-                            # a critical health rule (grad-norm blow-up,
-                            # trust-ratio collapse, ...) is a fault even
-                            # though the loss itself still looks finite
-                            faulted_at = iteration
-                            break
-                if iteration % log_every == 0:
-                    _record_point(log, iteration, loss_val, lr, norm)
-                iteration += 1
-
-            if faulted_at is not None:
-                _record_point(log, faulted_at, float("nan"), self.envelope(faulted_at), None)
-                self.faults_detected += 1
-                self._count("resilience/faults_detected")
-                if self.recoveries >= self.max_recoveries:
-                    result.diverged = True
-                    result.epochs_completed = epoch
-                    result.final_metrics["diverged"] = 1.0
-                    break
-                iteration, epoch = self._rollback()
-                prev_epoch_batches = None
-                continue
-
-            if n_batches == 0 and prev_epoch_batches:
-                raise ValueError(
-                    f"train_iter yielded no batches in epoch {epoch} after "
-                    f"{prev_epoch_batches} in the previous one — it is a "
-                    "one-shot iterator (e.g. a generator); pass a re-iterable "
-                    "like BatchIterator"
-                )
-            prev_epoch_batches = n_batches
-            epoch += 1
-            result.epochs_completed = epoch
-            if self.eval_fn is not None:
-                if tracer is None:
-                    metrics = self.eval_fn()
-                else:
-                    with obs.span("eval"):
-                        metrics = self.eval_fn()
-                for name, value in metrics.items():
-                    log.record(f"eval_{name}", epoch - 1, float(value))
-                result.final_metrics = dict(metrics)
-            if epoch % self.checkpoint_every == 0 or epoch == epochs:
-                self._save(iteration, epoch)
-
-        result.final_metrics.setdefault("diverged", 0.0)
-        result.final_metrics["recoveries"] = float(self.recoveries)
-        result.final_metrics["faults_detected"] = float(self.faults_detected)
-        if self.health is not None:
-            result.final_metrics["health_events"] = float(len(self.health.events))
-        return result
-
-    def _rollback(self) -> tuple[int, int]:
-        """Restore the last good checkpoint and back off the peak LR."""
-        obs = self.obs
-        if obs is not None and obs.tracer is not None:
-            with obs.span("recover"):
-                restored = self._restore_latest(restore_policy=False)
-        else:
-            restored = self._restore_latest(restore_policy=False)
-        if restored is None:  # pragma: no cover - the baseline save precludes it
-            raise RuntimeError("no checkpoint available to roll back to")
-        iteration, epoch = restored
-        self.recoveries += 1
-        self._count("resilience/recoveries")
-        self.envelope.back_off(
-            self.lr_backoff, at_iteration=iteration, rewarmup_steps=self.rewarmup_iters
-        )
-        return iteration, epoch
+    def load_state_dict(self, state) -> None:
+        self.recoveries = int(state["recoveries"])
+        self.faults_detected = int(state["faults_detected"])

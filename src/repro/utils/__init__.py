@@ -6,8 +6,8 @@ from repro.utils.log import RunLog, Timer
 from repro.utils.checkpoint import (
     CheckpointCorruptError,
     CheckpointManager,
+    RNGState,
     load_checkpoint,
-    read_checkpoint_extra,
     save_checkpoint,
 )
 from repro.utils.ascii_plot import line_chart, sparkline
@@ -24,7 +24,7 @@ __all__ = [
     "Timer",
     "save_checkpoint",
     "load_checkpoint",
-    "read_checkpoint_extra",
+    "RNGState",
     "CheckpointCorruptError",
     "CheckpointManager",
 ]

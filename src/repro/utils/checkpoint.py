@@ -16,13 +16,15 @@ Hardening guarantees:
   dtype, shape and bytes) is stored inside the archive; any bit flip or
   truncation surfaces as :class:`CheckpointCorruptError` at load time
   instead of silently restoring garbage;
-* **full state coverage** — beyond model and optimizer arrays, a
-  checkpoint can carry the optimizer's current ``lr``, a
-  :class:`~repro.optim.loss_scaler.DynamicLossScaler`, an
-  :class:`~repro.optim.ema.EMAWeights` shadow, a NumPy
-  :class:`~numpy.random.Generator` state (the data iterator's shuffling
-  stream) and arbitrary scalar ``extra`` entries — enough for *every*
-  solver to resume bit-exactly;
+* **full state coverage** — beyond model and optimizer arrays (and the
+  optimizer's current ``lr``), a checkpoint carries any number of named
+  *components*: objects with ``state_dict()``/``load_state_dict()``
+  such as the :class:`~repro.optim.loss_scaler.DynamicLossScaler`, an
+  :class:`~repro.optim.ema.EMAWeights` shadow, the LR envelope, the
+  adaptive-batch estimator and controller, or a data loader's shuffling
+  stream through :class:`RNGState` — enough for *every* solver to resume
+  bit-exactly.  Component ``name/key`` entries hold arrays, numbers or
+  strings, so nothing is flattened to float scalars;
 * **retention** — :class:`CheckpointManager` names checkpoints by step,
   keeps the last ``k``, and falls back to the previous file when the
   newest is corrupt.
@@ -35,24 +37,44 @@ import json
 import os
 import pathlib
 import re
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
 import numpy as np
 
 if TYPE_CHECKING:  # imported lazily to avoid a utils <-> nn import cycle
     from repro.nn.module import Module
     from repro.optim.base import Optimizer
-    from repro.optim.ema import EMAWeights
-    from repro.optim.loss_scaler import DynamicLossScaler
 
 _META_PREFIX = "__meta__"
 _MODEL_PREFIX = "model/"
 _OPT_PREFIX = "opt/"
-_EMA_PREFIX = "ema/"
-_SCALER_PREFIX = "__scaler__"
-_EXTRA_PREFIX = "__extra__"
-_RNG_KEY = f"{_META_PREFIX}rng_state"
+_COMPONENT_PREFIX = "component/"
 _CHECKSUM_KEY = "__checksum__"
+
+
+class Stateful(Protocol):
+    """A checkpoint component: a flat ``str -> array/number/str`` state."""
+
+    def state_dict(self) -> Mapping[str, Any]: ...
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None: ...
+
+
+class RNGState:
+    """Checkpoint component for a NumPy :class:`~numpy.random.Generator`.
+
+    Saves the bit generator's state, so a restored shuffling stream
+    continues bit-exactly.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+
+    def state_dict(self) -> dict[str, str]:
+        return {"state": json.dumps(self.rng.bit_generator.state)}
+
+    def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        self.rng.bit_generator.state = json.loads(state["state"])
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -73,32 +95,20 @@ def _digest(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return np.frombuffer(h.digest(), dtype=np.uint8).copy()
 
 
-def _encode_rng(rng: np.random.Generator) -> np.ndarray:
-    state = json.dumps(rng.bit_generator.state)
-    return np.frombuffer(state.encode(), dtype=np.uint8).copy()
-
-
-def _decode_rng(arr: np.ndarray, rng: np.random.Generator) -> None:
-    rng.bit_generator.state = json.loads(bytes(arr.tobytes()).decode())
-
-
 def save_checkpoint(
     path: str | pathlib.Path,
     model: "Module",
     optimizer: "Optimizer | None" = None,
     iteration: int = 0,
     *,
-    loss_scaler: "DynamicLossScaler | None" = None,
-    ema: "EMAWeights | None" = None,
-    rng: np.random.Generator | None = None,
-    extra: dict[str, float] | None = None,
+    components: Mapping[str, Stateful] | None = None,
 ) -> None:
     """Write a checkpoint file (``.npz``) atomically.
 
     The archive always covers the model (and optimizer, when given);
-    ``loss_scaler``, ``ema``, ``rng`` and scalar ``extra`` entries are
-    optional add-ons so mixed-precision / EMA / shuffled-data runs resume
-    bit-exactly too.
+    each named component's ``state_dict()`` is stored under
+    ``component/<name>/<key>`` so mixed-precision / EMA / shuffled-data /
+    adaptive-batch runs resume bit-exactly too.
     """
     path = pathlib.Path(path)
     arrays: dict[str, np.ndarray] = {
@@ -110,16 +120,11 @@ def save_checkpoint(
                 arrays[f"{_OPT_PREFIX}{pname}/{key}"] = arr
         arrays[f"{_META_PREFIX}opt_iteration"] = np.asarray(optimizer.iteration)
         arrays[f"{_META_PREFIX}opt_lr"] = np.asarray(optimizer.lr)
-    if loss_scaler is not None:
-        for key, value in loss_scaler.state_dict().items():
-            arrays[f"{_SCALER_PREFIX}{key}"] = np.asarray(value)
-    if ema is not None:
-        for name, arr in ema.state_dict().items():
-            arrays[f"{_EMA_PREFIX}{name}"] = arr
-    if rng is not None:
-        arrays[_RNG_KEY] = _encode_rng(rng)
-    for key, value in (extra or {}).items():
-        arrays[f"{_EXTRA_PREFIX}{key}"] = np.asarray(float(value))
+    for name, component in (components or {}).items():
+        if "/" in name:
+            raise ValueError(f"component name {name!r} must not contain '/'")
+        for key, value in component.state_dict().items():
+            arrays[f"{_COMPONENT_PREFIX}{name}/{key}"] = np.asarray(value)
     arrays[f"{_META_PREFIX}iteration"] = np.asarray(iteration)
     arrays[_CHECKSUM_KEY] = _digest(arrays)
 
@@ -154,19 +159,30 @@ def load_checkpoint(
     model: "Module",
     optimizer: "Optimizer | None" = None,
     *,
-    loss_scaler: "DynamicLossScaler | None" = None,
-    ema: "EMAWeights | None" = None,
-    rng: np.random.Generator | None = None,
+    components: Mapping[str, Stateful] | None = None,
 ) -> int:
     """Restore a checkpoint in place; returns the saved iteration count.
 
     The model's parameter names must match exactly (same architecture);
     optimizer state entries are restored for whichever parameters have
     saved state — parameters that never received gradients before the
-    save legitimately have none.  Raises :class:`CheckpointCorruptError`
-    when the file is unreadable or fails its integrity check.
+    save legitimately have none.  Components are restored in the
+    mapping's order (a component may depend on one restored before it);
+    each must be present in the file.  Raises
+    :class:`CheckpointCorruptError` when the file is unreadable or fails
+    its integrity check — before anything is restored.
     """
     data = _read_arrays(path)
+    states: dict[str, dict[str, Any]] = {}
+    for key, arr in data.items():
+        if key.startswith(_COMPONENT_PREFIX):
+            name, field = key[len(_COMPONENT_PREFIX):].split("/", 1)
+            states.setdefault(name, {})[field] = (
+                arr.item() if arr.ndim == 0 else arr.copy()
+            )
+    missing = set(components or {}) - set(states)
+    if missing:
+        raise KeyError(f"checkpoint {path} has no state for {sorted(missing)}")
     model_state = {
         name[len(_MODEL_PREFIX):]: data[name]
         for name in data
@@ -186,35 +202,9 @@ def load_checkpoint(
         lr_key = f"{_META_PREFIX}opt_lr"
         if lr_key in data:
             optimizer.lr = float(data[lr_key])
-    if loss_scaler is not None:
-        scaler_state = {
-            name[len(_SCALER_PREFIX):]: float(data[name])
-            for name in data
-            if name.startswith(_SCALER_PREFIX)
-        }
-        if scaler_state:
-            loss_scaler.load_state_dict(scaler_state)
-    if ema is not None:
-        ema_state = {
-            name[len(_EMA_PREFIX):]: data[name].copy()
-            for name in data
-            if name.startswith(_EMA_PREFIX)
-        }
-        if ema_state:
-            ema.load_state_dict(ema_state)
-    if rng is not None and _RNG_KEY in data:
-        _decode_rng(data[_RNG_KEY], rng)
+    for name, component in (components or {}).items():
+        component.load_state_dict(states[name])
     return int(data[f"{_META_PREFIX}iteration"])
-
-
-def read_checkpoint_extra(path: str | pathlib.Path) -> dict[str, float]:
-    """The scalar ``extra`` entries of a checkpoint, integrity-checked."""
-    data = _read_arrays(path)
-    return {
-        name[len(_EXTRA_PREFIX):]: float(data[name])
-        for name in data
-        if name.startswith(_EXTRA_PREFIX)
-    }
 
 
 class CheckpointManager:
@@ -280,11 +270,11 @@ class CheckpointManager:
         iteration: int = 0,
         *,
         step: int | None = None,
-        **kwargs: Any,
+        components: Mapping[str, Stateful] | None = None,
     ) -> pathlib.Path:
         """Save one checkpoint (named by ``step``, default ``iteration``)."""
         path = self.path_for(iteration if step is None else step)
-        save_checkpoint(path, model, optimizer, iteration, **kwargs)
+        save_checkpoint(path, model, optimizer, iteration, components=components)
         self._prune()
         return path
 
@@ -299,7 +289,8 @@ class CheckpointManager:
         self,
         model: "Module",
         optimizer: "Optimizer | None" = None,
-        **kwargs: Any,
+        *,
+        components: Mapping[str, Stateful] | None = None,
     ) -> tuple[int, pathlib.Path] | None:
         """Restore the newest loadable checkpoint.
 
@@ -307,10 +298,14 @@ class CheckpointManager:
         the directory is loadable.  Corrupted files are skipped (and
         appended to :attr:`corrupt_skipped`) rather than raised, because
         the whole point of retention is surviving a bad newest file.
+        Model, optimizer and every component come from the one file
+        returned.
         """
         for path in reversed(self.checkpoints()):
             try:
-                iteration = load_checkpoint(path, model, optimizer, **kwargs)
+                iteration = load_checkpoint(
+                    path, model, optimizer, components=components
+                )
             except CheckpointCorruptError:
                 self.corrupt_skipped.append(path)
                 continue

@@ -10,7 +10,7 @@ from repro.models import MnistLSTMClassifier
 from repro.optim import Momentum, SGD
 from repro.schedules import ConstantLR
 from repro.tensor.amp import amp_enabled
-from repro.train import AccumulatingTrainer, Trainer, accumulate_gradients
+from repro.train import Trainer, accumulate_gradients
 
 
 def make_model():
@@ -73,6 +73,8 @@ class TestAccumulateGradients:
 
 
 class TestAccumulatingTrainer:
+    """``Trainer(..., accum_steps=k)``."""
+
     def test_matches_large_batch_trainer_exactly(self, mnist_small):
         """accum_steps=4 over batch-8 micro-batches == batch-32 training."""
         train = mnist_small  # 48 examples
@@ -84,7 +86,7 @@ class TestAccumulatingTrainer:
 
         acc_model = make_model()
         small_it = BatchIterator(train, 8, rng=1, shuffle=False)
-        AccumulatingTrainer(
+        Trainer(
             acc_model.loss, Momentum(acc_model, lr=0.1), sched, small_it,
             accum_steps=4,
         ).run(2)
@@ -102,7 +104,7 @@ class TestAccumulatingTrainer:
     def test_logical_iteration_count(self, mnist_small):
         model = make_model()
         it = BatchIterator(mnist_small, 8, rng=1)  # 6 micro-batches/epoch
-        result = AccumulatingTrainer(
+        result = Trainer(
             model.loss, SGD(model, lr=0.05), ConstantLR(0.05), it, accum_steps=3
         ).run(2)
         # 6 micro / 3 accum = 2 logical iterations per epoch
@@ -111,7 +113,7 @@ class TestAccumulatingTrainer:
     def test_ragged_tail_group_applied(self, mnist_small):
         model = make_model()
         it = BatchIterator(mnist_small, 8, rng=1)  # 6 micro-batches
-        result = AccumulatingTrainer(
+        result = Trainer(
             model.loss, SGD(model, lr=0.05), ConstantLR(0.05), it, accum_steps=4
         ).run(1)
         # groups of 4 then 2 -> 2 logical steps
@@ -120,7 +122,7 @@ class TestAccumulatingTrainer:
     def test_eval_fn_runs(self, mnist_small):
         model = make_model()
         it = BatchIterator(mnist_small, 8, rng=1)
-        result = AccumulatingTrainer(
+        result = Trainer(
             model.loss, SGD(model, lr=0.05), ConstantLR(0.05), it,
             accum_steps=2, eval_fn=lambda: {"m": 1.0},
         ).run(2)
@@ -130,7 +132,7 @@ class TestAccumulatingTrainer:
         model = make_model()
         it = BatchIterator(mnist_small, 8, rng=1)
         with pytest.raises(ValueError):
-            AccumulatingTrainer(
+            Trainer(
                 model.loss, SGD(model, lr=0.1), ConstantLR(0.1), it, accum_steps=0
             )
 
@@ -147,9 +149,9 @@ class TestAccumulatingTrainer:
                 loss.data = np.array(float("nan"))
             return loss
 
-        result = AccumulatingTrainer(
+        result = Trainer(
             poisoned_loss, SGD(model, lr=0.05), ConstantLR(0.05), it,
-            accum_steps=1,
+            accum_steps=2,
         ).run(2)
         assert result.diverged
         log = result.log
@@ -161,7 +163,7 @@ class TestAccumulatingTrainer:
         """A generator exhausts after epoch 0; epoch 1 must fail loudly."""
         model = make_model()
         one_shot = iter(BatchIterator(mnist_small, 8, rng=1))
-        trainer = AccumulatingTrainer(
+        trainer = Trainer(
             model.loss, SGD(model, lr=0.05), ConstantLR(0.05), one_shot,
             accum_steps=2,
         )

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.adapt import (
-    AdaptiveBatchTrainer,
-    AdaptiveLRSchedule,
+    BatchGrowth,
     BatchSizeController,
     OnlineNoiseScale,
     probe_batch_fn,
@@ -22,6 +21,8 @@ from repro.optim.sgd import SGD
 from repro.parallel.cluster import NoiseTap, SimCluster
 from repro.schedules.base import ConstantLR
 from repro.tensor import Tensor
+from repro.train import RecoverySchedule, Trainer
+from repro.utils import CheckpointManager
 
 
 def exact_pair(trace: float, gsq: float, b_small: int, b_big: int):
@@ -297,14 +298,16 @@ class TestBatchSizeController:
 
 
 class TestAdaptiveLRSchedule:
+    """Batch growth on the :class:`RecoverySchedule` envelope."""
+
     def test_growth_applies_sqrt_scaling(self):
-        env = AdaptiveLRSchedule(ConstantLR(0.1))
+        env = RecoverySchedule(ConstantLR(0.1))
         env.grow(4.0, at_iteration=100, rewarmup_steps=0)
         assert env.lr_scale == pytest.approx(2.0)
         assert env(100) == pytest.approx(0.2)
 
     def test_growth_rewarmup_ramp(self):
-        env = AdaptiveLRSchedule(ConstantLR(0.1))
+        env = RecoverySchedule(ConstantLR(0.1))
         env.grow(4.0, at_iteration=100, rewarmup_steps=10)
         assert env(100) == pytest.approx(0.2 * 1 / 10)
         assert env(104) == pytest.approx(0.2 * 5 / 10)
@@ -312,20 +315,20 @@ class TestAdaptiveLRSchedule:
         assert env(99) == pytest.approx(0.2)  # ramp only applies forward
 
     def test_zero_rewarmup_skips_ramp(self):
-        env = AdaptiveLRSchedule(ConstantLR(0.1))
+        env = RecoverySchedule(ConstantLR(0.1))
         env.grow(2.0, at_iteration=50, rewarmup_steps=0)
         assert env.rewarmup_from is None
         assert env(50) == pytest.approx(0.1 * math.sqrt(2.0))
 
     def test_compound_growths(self):
-        env = AdaptiveLRSchedule(ConstantLR(1.0))
+        env = RecoverySchedule(ConstantLR(1.0))
         env.grow(2.0, at_iteration=0, rewarmup_steps=0)
         env.grow(2.0, at_iteration=0, rewarmup_steps=0)
         assert env.lr_scale == pytest.approx(2.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveLRSchedule(ConstantLR(0.1)).grow(0.0, 0, 0)
+            RecoverySchedule(ConstantLR(0.1)).grow(0.0, 0, 0)
 
 
 class TinyRegressor(Module):
@@ -369,22 +372,26 @@ def make_trainer(
     def eval_fn():
         return {"loss": float(model.loss((xs, ys)).data)}
 
-    return AdaptiveBatchTrainer(
-        model,
-        optimizer,
-        ConstantLR(0.05),
-        make_train_iter,
-        base_batch=base_batch,
-        controller=controller,
+    growth = BatchGrowth(
+        controller,
         estimator=OnlineNoiseScale(min_updates=min_updates),
-        data_seed=seed,
-        cluster=cluster,
-        eval_fn=eval_fn,
         noise_every=noise_every,
         probe_ratio=4,
-        base_warmup_epochs=0.25,
         rewarmup=rewarmup,
-        checkpoint_dir=checkpoint_dir,
+        make_train_iter=make_train_iter,
+        data_seed=seed,
+        warmup_epochs=0.25,
+        cluster=cluster,
+    )
+    return Trainer(
+        model.loss if cluster is None else cluster.as_loss_fn(),
+        optimizer,
+        ConstantLR(0.05),
+        make_train_iter(base_batch, seed),
+        eval_fn=eval_fn,
+        model=model,
+        checkpoint=None if checkpoint_dir is None else CheckpointManager(checkpoint_dir),
+        growth=growth,
     )
 
 
@@ -395,26 +402,26 @@ class TestAdaptiveBatchTrainer:
         trainer = make_trainer(target_ratio=1e9, cooldown_epochs=0)
         result = trainer.run(epochs=4)
         assert not result.diverged
-        assert trainer.growths >= 1
-        ratio = trainer.current_batch / trainer.base_batch
+        assert trainer.growth.growths >= 1
+        ratio = trainer.growth.batch / trainer.growth.controller.base_batch
         assert trainer.envelope.lr_scale == pytest.approx(math.sqrt(ratio))
-        assert trainer.envelope.rewarmup_steps == trainer.rewarmup_iters
-        batches = [b for _, b in trainer.trajectory]
+        assert trainer.envelope.rewarmup_steps == trainer.growth.rewarmup_iters
+        batches = [b for _, b in trainer.growth.trajectory]
         assert batches == sorted(batches)  # never shrinks
-        assert result.final_metrics["final_batch"] == trainer.current_batch
-        assert result.final_metrics["growth_events"] == trainer.growths
+        assert result.final_metrics["final_batch"] == trainer.growth.batch
+        assert result.final_metrics["growth_events"] == trainer.growth.growths
 
     def test_no_rewarmup_arm_keeps_sqrt_scale_only(self):
         trainer = make_trainer(rewarmup=False, target_ratio=1e9, cooldown_epochs=0)
         trainer.run(epochs=3)
-        assert trainer.growths >= 1
+        assert trainer.growth.growths >= 1
         assert trainer.envelope.lr_scale > 1.0
         assert trainer.envelope.rewarmup_from is None
 
     def test_unready_estimator_never_grows(self):
         trainer = make_trainer(target_ratio=1e9, min_updates=10**9)
         result = trainer.run(epochs=3)
-        assert trainer.trajectory == [(0, 8)]
+        assert trainer.growth.trajectory == [(0, 8)]
         assert result.final_metrics["growth_events"] == 0.0
 
     def test_probes_do_not_perturb_training(self):
@@ -424,7 +431,7 @@ class TestAdaptiveBatchTrainer:
         dense = make_trainer(max_batch=8, noise_every=1)
         sparse.run(epochs=2)
         dense.run(epochs=2)
-        assert dense.estimator.updates > sparse.estimator.updates
+        assert dense.growth.estimator.updates > sparse.growth.estimator.updates
         for key, arr in sparse.model.state_dict().items():
             np.testing.assert_array_equal(arr, dense.model.state_dict()[key])
 
@@ -433,8 +440,8 @@ class TestAdaptiveBatchTrainer:
         result = trainer.run(epochs=2)
         assert not result.diverged
         # every data-parallel step feeds the tap — no probe cadence
-        assert trainer.estimator.updates >= trainer.train_iter.steps_per_epoch
-        assert trainer.growths >= 1
+        assert trainer.growth.estimator.updates >= trainer.train_iter.steps_per_epoch
+        assert trainer.growth.growths >= 1
 
     def test_resume_reproduces_trajectory_bit_exactly(self, tmp_path):
         full = make_trainer(
@@ -451,8 +458,8 @@ class TestAdaptiveBatchTrainer:
         )
         resumed_result = resumed.run(epochs=4, resume=True)
 
-        assert resumed.trajectory == full.trajectory
-        assert resumed.current_batch == full.current_batch
+        assert resumed.growth.trajectory == full.growth.trajectory
+        assert resumed.growth.batch == full.growth.batch
         assert resumed.envelope.lr_scale == pytest.approx(full.envelope.lr_scale)
         assert (
             resumed_result.final_metrics["optimizer_steps"]
@@ -462,6 +469,23 @@ class TestAdaptiveBatchTrainer:
             resumed_result.final_metrics["loss"]
             == full_result.final_metrics["loss"]
         )
+        for key, arr in full.model.state_dict().items():
+            np.testing.assert_array_equal(arr, resumed.model.state_dict()[key])
+
+    def test_resume_past_corrupt_newest_checkpoint(self, tmp_path):
+        """A torn newest file falls back to the previous one, and every
+        component (batch, trajectory, estimator, loader RNG) comes from
+        that same file."""
+        kwargs = dict(target_ratio=1e9, cooldown_epochs=0)
+        full = make_trainer(checkpoint_dir=tmp_path / "full", **kwargs)
+        full.run(epochs=4)
+        make_trainer(checkpoint_dir=tmp_path / "part", **kwargs).run(epochs=3)
+        newest = sorted((tmp_path / "part").glob("ckpt_*.npz"))[-1]
+        newest.write_bytes(b"torn" * 16)
+        resumed = make_trainer(checkpoint_dir=tmp_path / "part", **kwargs)
+        resumed.run(epochs=4, resume=True)
+        assert resumed.checkpoint.corrupt_skipped == [newest]
+        assert resumed.growth.trajectory == full.growth.trajectory
         for key, arr in full.model.state_dict().items():
             np.testing.assert_array_equal(arr, resumed.model.state_dict()[key])
 

@@ -10,7 +10,7 @@ from repro.models import MnistLSTMClassifier
 from repro.optim import Adam, Momentum
 from repro.schedules import ConstantLR
 from repro.train import Trainer
-from repro.utils import load_checkpoint, save_checkpoint
+from repro.utils import RNGState, load_checkpoint, save_checkpoint
 
 
 def make_model():
@@ -128,13 +128,13 @@ class TestHardenedCheckpoint:
         rng = np.random.default_rng(5)
         rng.random(17)  # advance the stream
         path = tmp_path / "full.npz"
-        save_checkpoint(path, model, opt, iteration=9, rng=rng)
+        save_checkpoint(path, model, opt, iteration=9, components={"rng": RNGState(rng)})
         probe = rng.random(4)
 
         fresh_opt = Momentum(make_model(), lr=0.1)
         fresh_rng = np.random.default_rng(5)
         other = make_model()
-        load_checkpoint(path, other, fresh_opt, rng=fresh_rng)
+        load_checkpoint(path, other, fresh_opt, components={"rng": RNGState(fresh_rng)})
         assert fresh_opt.lr == 0.025
         assert np.array_equal(fresh_rng.random(4), probe)  # bit-exact stream
 
@@ -148,12 +148,14 @@ class TestHardenedCheckpoint:
         ema = EMAWeights(list(model.named_parameters()), decay=0.9)
         ema.update()
         path = tmp_path / "se.npz"
-        save_checkpoint(path, model, loss_scaler=scaler, ema=ema)
+        save_checkpoint(path, model, components={"scaler": scaler, "ema": ema})
 
         other = make_model()
         other_scaler = DynamicLossScaler()
         other_ema = EMAWeights(list(other.named_parameters()), decay=0.9)
-        load_checkpoint(path, other, loss_scaler=other_scaler, ema=other_ema)
+        load_checkpoint(
+            path, other, components={"scaler": other_scaler, "ema": other_ema}
+        )
         assert other_scaler.scale == 4.0
         assert other_scaler.steps_skipped == 3
         for (name, a), (_, b) in zip(
@@ -162,13 +164,36 @@ class TestHardenedCheckpoint:
             assert np.array_equal(a, b), name
 
     def test_extra_scalars_roundtrip(self, tmp_path):
-        from repro.utils import read_checkpoint_extra
+        """Component states keep their types: ints, floats, strings and
+        arrays of any length come back as saved, nothing flattened."""
 
+        class Box:
+            def __init__(self, state=None):
+                self.state = state
+
+            def state_dict(self):
+                return self.state
+
+            def load_state_dict(self, state):
+                self.state = state
+
+        saved = {
+            "epoch": 7,
+            "lr_scale": 0.5,
+            "tag": "grown",
+            "trajectory": np.arange(400, dtype=np.int64).reshape(200, 2),
+        }
         model = make_model()
         path = tmp_path / "e.npz"
-        save_checkpoint(path, model, extra={"epoch": 7.0, "lr_scale": 0.5})
-        extra = read_checkpoint_extra(path)
-        assert extra == {"epoch": 7.0, "lr_scale": 0.5}
+        save_checkpoint(path, model, components={"box": Box(saved)})
+        box = Box()
+        load_checkpoint(path, make_model(), components={"box": box})
+        assert box.state["epoch"] == 7 and isinstance(box.state["epoch"], int)
+        assert box.state["lr_scale"] == 0.5
+        assert box.state["tag"] == "grown"
+        np.testing.assert_array_equal(box.state["trajectory"], saved["trajectory"])
+        with pytest.raises(KeyError):  # a requested component must be present
+            load_checkpoint(path, make_model(), components={"other": Box()})
 
 
 class TestCheckpointManager:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.tensor.amp import use_amp
 
 
 class TestList:
@@ -172,6 +174,36 @@ class TestTrainParallel:
         assert "parallel: 2 workers" in capsys.readouterr().out
 
 
+def _final_state(ckpt_dir) -> dict:
+    newest = sorted(ckpt_dir.glob("ckpt_*.npz"))[-1]
+    with np.load(newest) as data:
+        return {k: data[k] for k in data.files if k.startswith(("model/", "opt/"))}
+
+
+def _kill_at_half_and_resume(capsys, tmp_path, flags: list[str]) -> list[str]:
+    """Train 4 adaptive epochs straight, and 2 + a resumed 2 in a second
+    directory; the final checkpoints must match bit for bit.  Returns the
+    three runs' stdout."""
+    base = ["train", "mnist", "--adaptive-batch", "--target-ratio", "1000",
+            "--noise-every", "8", *flags]
+    outputs = []
+    for ckpt, epochs, resume in (("full", 4, []), ("part", 2, []),
+                                 ("part", 4, ["--resume"])):
+        code = main([*base, "--epochs", str(epochs),
+                     "--checkpoint-dir", str(tmp_path / ckpt), *resume])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    full, resumed = _final_state(tmp_path / "full"), _final_state(tmp_path / "part")
+    assert full.keys() == resumed.keys()
+    for key in full:
+        np.testing.assert_array_equal(full[key], resumed[key], err_msg=key)
+    # the batch grew, and the resumed run reports the whole trajectory
+    trajectory = outputs[0].split("trajectory ")[1].split(", final")[0]
+    assert trajectory.count("(") > 1
+    assert f"trajectory {trajectory}" in outputs[2]
+    return outputs
+
+
 class TestAdaptiveBatch:
     def test_tuning_flags_require_adaptive_batch(self, capsys):
         for flag, value in (
@@ -194,12 +226,27 @@ class TestAdaptiveBatch:
         ) == 2
         assert "recapture" in capsys.readouterr().err
 
-    def test_adaptive_rejects_fault_injection(self, capsys, tmp_path):
-        assert main(
-            ["train", "mnist", "--adaptive-batch", "--fault-rate", "0.1",
-             "--checkpoint-dir", str(tmp_path)]
-        ) == 2
-        assert "no rollback path" in capsys.readouterr().err
+    @pytest.mark.slow
+    def test_adaptive_with_fault_injection_resumes_bit_exactly(
+        self, capsys, tmp_path
+    ):
+        outputs = _kill_at_half_and_resume(
+            capsys, tmp_path, ["--fault-rate", "0.02", "--max-recoveries", "20"]
+        )
+        faults = [
+            int(next(l for l in out.splitlines() if l.startswith("resilience:")).split()[1])
+            for out in outputs
+        ]
+        # faults strike in both halves; the resumed run keeps the counters
+        assert 0 < faults[1] < faults[2] == faults[0]
+
+    @pytest.mark.slow
+    def test_adaptive_with_amp_resumes_bit_exactly(self, capsys, tmp_path):
+        previous = use_amp(False)
+        try:
+            _kill_at_half_and_resume(capsys, tmp_path, ["--amp"])
+        finally:
+            use_amp(previous)
 
     def test_adaptive_requires_legw_schedule(self, capsys):
         assert main(

@@ -14,7 +14,7 @@ from repro.models import MnistLSTMClassifier
 from repro.optim import DynamicLossScaler, EMAWeights, Momentum
 from repro.schedules import LEGW
 from repro.tensor.amp import amp_enabled
-from repro.train import AccumulatingTrainer, LambdaCallback, Trainer
+from repro.train import LambdaCallback, Trainer
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ class TestCompositions:
         ).run(2)
 
         acc = make_model()
-        AccumulatingTrainer(
+        Trainer(
             acc.loss, Momentum(acc, lr=0.05), sched,
             BatchIterator(train, micro, rng=1, shuffle=False),
             accum_steps=big_batch // micro,

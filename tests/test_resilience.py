@@ -12,8 +12,10 @@ from repro.models import MnistLSTMClassifier
 from repro.obs import Obs
 from repro.optim import LAMB, LARS, Adam, DynamicLossScaler, EMAWeights, Momentum
 from repro.parallel import LossFaultInjector
+from repro.parallel.cluster import SimCluster
 from repro.schedules import ConstantLR
-from repro.train import RecoverySchedule, ResilientTrainer
+from repro.train import RecoverySchedule, Rollback, Trainer
+from repro.utils import CheckpointManager
 
 
 def make_model():
@@ -52,7 +54,7 @@ class TestRecoverySchedule:
         env = RecoverySchedule(ConstantLR(1.0))
         env.back_off(0.3, at_iteration=7, rewarmup_steps=5)
         fresh = RecoverySchedule(ConstantLR(1.0))
-        fresh.load_state(env.state())
+        fresh.load_state_dict(env.state_dict())
         assert fresh.lr_scale == env.lr_scale
         assert fresh.rewarmup_from == 7
         assert fresh.rewarmup_steps == 5
@@ -66,10 +68,12 @@ def run_resilient(train, ckpt_dir, *, solver, epochs, resume=False,
     opt = solver(model, lr=0.05)
     scaler = DynamicLossScaler(initial_scale=8.0) if with_scaler else None
     ema = EMAWeights(list(model.named_parameters()), decay=0.9) if with_ema else None
-    trainer = ResilientTrainer(
-        model, opt, ConstantLR(0.05), BatchIterator(train, 8, rng=1),
-        checkpoint_dir=ckpt_dir, loss_scaler=scaler, ema=ema,
-        fault_injector=injector, max_recoveries=max_recoveries, obs=obs,
+    trainer = Trainer(
+        model.loss, opt, ConstantLR(0.05), BatchIterator(train, 8, rng=1),
+        loss_scaler=scaler, model=model, ema=ema,
+        checkpoint=CheckpointManager(ckpt_dir),
+        faults=Rollback(max_recoveries=max_recoveries, injector=injector),
+        obs=obs,
     )
     result = trainer.run(epochs, resume=resume)
     return model, trainer, result
@@ -168,27 +172,39 @@ class TestRollback:
         )
         assert not result.diverged
         assert result.epochs_completed == 3
-        assert trainer.manager.corrupt_skipped  # the bad file was noticed
+        assert trainer.checkpoint.corrupt_skipped  # the bad file was noticed
 
 
 class TestResilientTrainerValidation:
-    def test_scaler_and_gradient_fn_exclusive(self, tmp_path, mnist_small):
-        model = make_model()
-        with pytest.raises(ValueError):
-            ResilientTrainer(
-                model, Momentum(model, lr=0.1), ConstantLR(0.1),
-                BatchIterator(mnist_small, 8, rng=1),
-                checkpoint_dir=tmp_path,
-                gradient_fn=lambda b: 0.0,
-                loss_scaler=DynamicLossScaler(),
-            )
+    def test_scaler_is_not_applied_to_cluster_adapter(self, tmp_path, mnist_small):
+        """A cluster adapter installs pre-averaged gradients the scaler
+        never saw, so the loop must leave them unscaled."""
+
+        def run(scaler):
+            model = make_model()
+            cluster = SimCluster(list(model.parameters()), model.loss, 2)
+            Trainer(
+                cluster.as_loss_fn(), Momentum(model, lr=0.1), ConstantLR(0.1),
+                BatchIterator(mnist_small, 8, rng=1), loss_scaler=scaler,
+                amp=False, compiled=False, model=model,
+                checkpoint=CheckpointManager(tmp_path / str(scaler is None)),
+                faults=Rollback(),
+            ).run(1)
+            return model
+
+        plain, scaled = run(None), run(DynamicLossScaler(initial_scale=8.0))
+        for (name, a), (_, b) in zip(
+            plain.named_parameters(), scaled.named_parameters()
+        ):
+            assert np.array_equal(a.data, b.data), name
 
     def test_one_shot_iterator_detected(self, tmp_path, mnist_small):
         model = make_model()
         batches = iter(BatchIterator(mnist_small, 8, rng=1))
-        trainer = ResilientTrainer(
-            model, Momentum(model, lr=0.01), ConstantLR(0.01), batches,
-            checkpoint_dir=tmp_path,
+        trainer = Trainer(
+            model.loss, Momentum(model, lr=0.01), ConstantLR(0.01), batches,
+            model=model, checkpoint=CheckpointManager(tmp_path),
+            faults=Rollback(),
         )
         with pytest.raises(ValueError, match="one-shot iterator"):
             trainer.run(2)
@@ -197,12 +213,111 @@ class TestResilientTrainerValidation:
         model = make_model()
         opt = Momentum(model, lr=0.1)
         batches = BatchIterator(mnist_small, 8, rng=1)
+        manager = CheckpointManager(tmp_path)
         with pytest.raises(ValueError):
-            ResilientTrainer(model, opt, ConstantLR(0.1), batches,
-                             checkpoint_dir=tmp_path, checkpoint_every=0)
+            Trainer(model.loss, opt, ConstantLR(0.1), batches, model=model,
+                    checkpoint=manager, checkpoint_every=0)
         with pytest.raises(ValueError):
-            ResilientTrainer(model, opt, ConstantLR(0.1), batches,
-                             checkpoint_dir=tmp_path, max_recoveries=-1)
+            Rollback(max_recoveries=-1)
         with pytest.raises(ValueError):
-            ResilientTrainer(model, opt, ConstantLR(0.1), batches,
-                             checkpoint_dir=tmp_path, lr_backoff=0.0)
+            Rollback(lr_backoff=0.0)
+        with pytest.raises(ValueError):  # rollback needs a checkpoint
+            Trainer(model.loss, opt, ConstantLR(0.1), batches, faults=Rollback())
+        with pytest.raises(ValueError):  # checkpoints need the model
+            Trainer(model.loss, opt, ConstantLR(0.1), batches, checkpoint=manager)
+
+
+class _RecordIterations:
+    def __init__(self):
+        self.iterations = []
+
+    def on_iteration(self, iteration, loss, lr):
+        self.iterations.append(iteration)
+
+    def on_epoch_end(self, epoch, metrics):
+        return False
+
+    def on_train_end(self, result):
+        pass
+
+
+@pytest.mark.parametrize("policy", ["stop", "rollback"])
+def test_fault_policies_agree(tmp_path, mnist_small, policy):
+    """Both fault policies count, log and report an amp overflow-skip
+    step, treat a non-finite eval metric as a fault, and reject a
+    one-shot iterator."""
+
+    def trainer(loss_scale=1.0, eval_fn=None, batches=None, **kwargs):
+        model = make_model()
+        extra = {}
+        if policy == "rollback":
+            extra = dict(
+                model=model,
+                checkpoint=CheckpointManager(tmp_path / str(len(list(tmp_path.iterdir())))),
+                faults=Rollback(max_recoveries=1),
+            )
+        return Trainer(
+            lambda batch: model.loss(batch) * loss_scale,
+            Momentum(model, lr=0.05), ConstantLR(0.05),
+            batches if batches is not None else BatchIterator(mnist_small, 8, rng=1),
+            eval_fn=eval_fn, **kwargs, **extra,
+        )
+
+    # amp: a finite loss whose scaled fp16 gradients overflow is skipped,
+    # yet still an iteration — counted, logged and seen by the callbacks
+    obs, recorder = Obs(metrics=True), _RecordIterations()
+    skipping = trainer(
+        loss_scale=1e3, amp=True, obs=obs, callbacks=[recorder],
+        loss_scaler=DynamicLossScaler(initial_scale=2.0**15),
+    )
+    result = skipping.run(1)
+    steps = skipping.train_iter.steps_per_epoch
+    assert skipping.loss_scaler.steps_skipped >= 1
+    assert obs.metrics.counter("train/iterations").value == steps
+    assert result.log.steps("loss") == list(range(steps))
+    assert recorder.iterations == list(range(steps))
+    assert not result.diverged
+
+    # a non-finite eval metric is a fault: stop at once, or roll back
+    # until the budget is spent
+    result = trainer(eval_fn=lambda: {"acc": float("nan")}).run(2)
+    assert result.diverged and result.final_metrics["diverged"] == 1.0
+    assert math.isnan(result.log.values("eval_acc")[-1])
+    if policy == "rollback":
+        assert result.final_metrics["faults_detected"] == 2.0
+        assert result.final_metrics["recoveries"] == 1.0
+
+    with pytest.raises(ValueError, match="one-shot iterator"):
+        trainer(batches=iter(BatchIterator(mnist_small, 8, rng=1))).run(2)
+
+
+@pytest.mark.slow
+def test_compiled_checkpointed_run_matches_eager_bitwise(tmp_path, mnist_small):
+    """A checkpointed run under the rollback policy honours compile: it
+    captures and replays, recaptures after the rollback's parameter
+    restore, and matches the eager run bit for bit."""
+
+    def run(compiled):
+        model = make_model()
+        obs = Obs(metrics=True)
+        trainer = Trainer(
+            model.loss, Momentum(model, lr=0.05), ConstantLR(0.05),
+            BatchIterator(mnist_small, 8, rng=1), obs=obs,
+            compiled=compiled, amp=False, model=model,
+            checkpoint=CheckpointManager(tmp_path / str(compiled)),
+            faults=Rollback(injector=LossFaultInjector(1.0, seed=0, max_faults=1)),
+        )
+        return model, trainer.run(3), obs.metrics
+
+    eager, eager_result, _ = run(False)
+    compiled, compiled_result, metrics = run(True)
+    assert metrics.counter("compile/captures").value >= 1
+    assert metrics.counter("compile/replays").value >= 1
+    assert compiled_result.final_metrics["recoveries"] == 1.0
+    np.testing.assert_array_equal(
+        compiled_result.log.values("loss"), eager_result.log.values("loss")
+    )
+    for (name, a), (_, b) in zip(
+        eager.named_parameters(), compiled.named_parameters()
+    ):
+        assert np.array_equal(a.data, b.data), name

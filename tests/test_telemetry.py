@@ -26,7 +26,8 @@ from repro.obs import (
 from repro.optim import Momentum
 from repro.parallel import LossFaultInjector
 from repro.schedules import ConstantLR
-from repro.train import ResilientTrainer
+from repro.train import Rollback, Trainer
+from repro.utils import CheckpointManager
 
 BUCKETS = (1.0, 2.0, 5.0)
 
@@ -374,16 +375,17 @@ class TestResilientTrainerHealth:
         )
         obs = Obs(metrics=True)
         injector = LossFaultInjector(1.0, seed=0, max_faults=1)
-        trainer = ResilientTrainer(
-            model, Momentum(model, lr=0.05), ConstantLR(0.05),
-            BatchIterator(train, 8, rng=1),
-            checkpoint_dir=tmp_path, fault_injector=injector,
+        trainer = Trainer(
+            model.loss, Momentum(model, lr=0.05), ConstantLR(0.05),
+            BatchIterator(train, 8, rng=1), model=model,
+            checkpoint=CheckpointManager(tmp_path),
+            faults=Rollback(injector=injector),
             obs=obs, metrics_every=1,
         )
         result = trainer.run(2)
         assert not result.diverged
         assert result.final_metrics["faults_detected"] == 1.0
-        events = [e for e in trainer.health.events if e.critical]
+        events = [e for e in trainer.faults.health.events if e.critical]
         assert any(e.rule == "nonfinite-loss" for e in events)
         # the time series sampled every iteration
         assert len(obs.metrics.samples) > 0
