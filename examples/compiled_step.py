@@ -3,10 +3,11 @@
 
 The same 2-layer PTB LSTM training step runs three ways:
 
-1. **reference** — one graph node per primitive op, rebuilt every step;
-2. **fused** (``--fused`` / ``REPRO_FUSED=1``) — the hand-fused LSTM
-   layer and softmax/cross-entropy kernels, still rebuilt every step;
-3. **fused + compiled** (``--fused --compile`` / ``REPRO_COMPILE=1``) —
+1. **reference** (``--no-fused`` / ``REPRO_FUSED=0``) — one graph node
+   per primitive op, rebuilt every step;
+2. **fused** (the default engine) — the hand-fused LSTM layer and
+   softmax/cross-entropy kernels, still rebuilt every step;
+3. **fused + compiled** (``--compile`` / ``REPRO_COMPILE=1``) —
    the fused graph captured once by :class:`repro.compile.CompiledStep`
    and replayed into preallocated buffers after that.
 

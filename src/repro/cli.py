@@ -33,11 +33,11 @@ the run on the exact uninstrumented code path.
 
 Both commands also take ``--fused`` / ``--no-fused`` (docs/fused_kernels.md)
 to pick between the fused hot-path kernels and the reference engine; with
-neither flag the ``REPRO_FUSED`` environment setting (default: reference)
-applies.  ``--compile`` / ``--no-compile`` (docs/compile.md) likewise
-switch the trace-and-replay graph compiler, defaulting to the
-``REPRO_COMPILE`` environment setting; the two compose — ``--fused
---compile`` captures and replays the fused graph.
+neither flag the ``REPRO_FUSED`` environment setting (default: fused;
+``REPRO_FUSED=0`` selects the reference engine) applies.  ``--compile`` /
+``--no-compile`` (docs/compile.md) likewise switch the trace-and-replay
+graph compiler, defaulting to the ``REPRO_COMPILE`` environment setting;
+the two compose — ``--compile`` captures and replays the fused graph.
 
 ``train`` accepts the data-parallel flags (docs/parallel.md): ``--workers P``
 shards every batch across ``P`` workers with gradients reduced through
@@ -84,9 +84,9 @@ from repro.obs import Obs
 from repro.parallel.allreduce import ALGORITHMS
 from repro.parallel.buckets import DEFAULT_BUCKET_MB
 from repro.parallel.faults import LossFaultInjector
-from repro.compile.config import use_compiled
-from repro.tensor.amp import use_amp
-from repro.tensor.fused import use_fused
+from repro.compile.config import compiled_enabled, use_compiled
+from repro.tensor.amp import amp_enabled, use_amp
+from repro.tensor.fused import fused_enabled, use_fused
 from repro.train import Rollback
 from repro.utils.ascii_plot import line_chart
 from repro.utils.checkpoint import CheckpointManager
@@ -107,7 +107,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--fused", action=argparse.BooleanOptionalAction, default=None,
         help="run with fused hot-path kernels (--no-fused forces the "
              "reference engine; default: the REPRO_FUSED environment "
-             "setting, i.e. off)",
+             "setting, i.e. on unless REPRO_FUSED=0)",
     )
     parser.add_argument(
         "--compile", action=argparse.BooleanOptionalAction, default=None,
@@ -790,15 +790,24 @@ def _jsonable(value):
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
-    raise AssertionError("unreachable")  # pragma: no cover
+    # the engine flags hold for this command only: an in-process caller
+    # gets its fused/compile/amp switches back, even when the command
+    # rejects its arguments after applying them
+    switches = (fused_enabled(), compiled_enabled(), amp_enabled())
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "experiment":
+            return _cmd_experiment(args)
+        if args.command == "train":
+            return _cmd_train(args)
+        if args.command == "serve-bench":
+            return _cmd_serve_bench(args)
+        raise AssertionError("unreachable")  # pragma: no cover
+    finally:
+        use_fused(switches[0])
+        use_compiled(switches[1])
+        use_amp(switches[2])
 
 
 if __name__ == "__main__":  # pragma: no cover

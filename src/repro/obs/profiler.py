@@ -11,9 +11,11 @@ that one staticmethod while attached:
   ``_make`` call, so the delta is dominated by that op's forward work).
   Callers that interleave non-engine work (data loading, optimizer steps)
   should call :meth:`mark` at phase boundaries so the gap is not billed to
-  the next op — the trainer's span instrumentation does this.
+  the next op — the trainer marks before every step's forward.
 * **backward** — the vjp closure is wrapped and timed exactly; backward
-  stats are attributed to the same op name, reported separately.
+  stats are attributed to the same op name, reported separately.  Each
+  timed vjp also resets the forward mark, so backward time is never
+  billed a second time to the next forward op.
 
 Element throughput uses the output array size (forward) and the upstream
 gradient size (backward).  ``detach`` restores the engine bit-for-bit:
@@ -105,8 +107,12 @@ class OpProfiler:
                     if bstat is None:
                         bstat = profiler.backward[op] = OpStat()
                     bstat.calls += 1
-                    bstat.seconds += time.perf_counter() - t0
+                    t1 = time.perf_counter()
+                    bstat.seconds += t1 - t0
                     bstat.elements += g.size
+                    # backward time is billed here, never again to the
+                    # next forward op
+                    profiler._mark = t1
 
             out = original(data, parents, timed_vjp, op, replay=replay)
             if out._vjp is not None:

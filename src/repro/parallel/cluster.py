@@ -118,6 +118,23 @@ class _InstalledGradients:
         return None
 
 
+class ClusterLoss:
+    """The ``loss_fn`` a cluster's ``as_loss_fn`` hands the Trainer.
+
+    Calling it runs ``step(batch)`` — a cluster gradient step that
+    installs the all-reduced gradients and returns the mean loss — and
+    wraps the loss in :class:`_InstalledGradients`.  It builds no graph in
+    the caller, so there is nothing to capture: the Trainer never wraps it
+    in a compiled step.
+    """
+
+    def __init__(self, step: Callable[[Sequence[np.ndarray]], float]) -> None:
+        self.step = step
+
+    def __call__(self, batch) -> _InstalledGradients:
+        return _InstalledGradients(self.step(batch))
+
+
 class SimCluster:
     """Synchronous data-parallel executor over the real autograd model.
 
@@ -302,7 +319,7 @@ class SimCluster:
 
     # -- Trainer integration -----------------------------------------------
 
-    def as_loss_fn(self) -> Callable[[Sequence[np.ndarray]], _InstalledGradients]:
+    def as_loss_fn(self) -> ClusterLoss:
         """Adapter so ``Trainer`` can train through this cluster.
 
         The returned callable runs :meth:`gradient_step` (installing the
@@ -312,8 +329,4 @@ class SimCluster:
         single-process ones.
         """
 
-        def loss_fn(batch):
-            mean_loss, _ = self.gradient_step(batch)
-            return _InstalledGradients(mean_loss)
-
-        return loss_fn
+        return ClusterLoss(lambda batch: self.gradient_step(batch)[0])

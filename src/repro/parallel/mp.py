@@ -72,7 +72,7 @@ from repro.parallel.buckets import (
     DEFAULT_BUCKET_MB,
     GradientBuckets,
 )
-from repro.parallel.cluster import NoiseTap, _InstalledGradients, shard_batch
+from repro.parallel.cluster import ClusterLoss, NoiseTap, shard_batch
 from repro.parallel.cost import CommModel
 from repro.parallel.faults import FaultSpec, WorkerFaultError
 from repro.parallel.perfmodel import DeviceModel
@@ -620,7 +620,7 @@ class MultiprocessCluster:
 
     # -- Trainer integration -----------------------------------------------
 
-    def as_loss_fn(self, model) -> Callable[[Sequence[np.ndarray]], object]:
+    def as_loss_fn(self, model) -> ClusterLoss:
         """Adapter so the trainers can train through this cluster.
 
         Mirrors :meth:`repro.parallel.cluster.SimCluster.as_loss_fn`: the
@@ -629,11 +629,7 @@ class MultiprocessCluster:
         object whose ``backward()`` is a no-op.
         """
 
-        def loss_fn(batch):
-            mean_loss = self.gradient_step(model, batch)
-            return _InstalledGradients(mean_loss)
-
-        return loss_fn
+        return ClusterLoss(lambda batch: self.gradient_step(model, batch))
 
     def close(self) -> None:
         for worker in self._workers:

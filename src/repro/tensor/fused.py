@@ -14,8 +14,12 @@ single hand-derived vector-Jacobian product:
   concatenated ``[x, h]`` against the packed gate kernel, gate
   nonlinearities and state update inside one node; 3 nodes total instead
   of ~14).  Forward values are **bit-identical** to the reference cell:
-  both paths share :func:`repro.tensor.tensor.stable_sigmoid` and apply
-  the same operations in the same order.
+  both paths evaluate :func:`repro.tensor.tensor.stable_sigmoid`'s
+  arithmetic and apply the same operations in the same order.
+* :func:`lstm_layer` — a whole LSTM direction over ``(T, B, D)`` in one
+  node.  Unmasked batches batch the input projection over all steps
+  (round-off-level parity); ragged batches take a ``(T, B)`` mask and
+  reproduce the per-step masked loop bit for bit, forward and backward.
 * :func:`softmax_cross_entropy` — logits straight to scalar loss with the
   stable ``softmax - onehot`` backward materialised in-place on a single
   probability buffer (the reference allocates a dense target distribution
@@ -31,23 +35,25 @@ single hand-derived vector-Jacobian product:
 Dispatch
 --------
 Nothing imports these kernels directly: ``repro.nn.LSTMCell``,
-``repro.nn.LayerNorm``, ``repro.tensor.cross_entropy`` and the SGD-family
-optimizers all consult :func:`fused_enabled` and fall back to their
-reference implementations when fusion is off (the default, so the seed
-code path is untouched).  Flip globally with ``repro.tensor.use_fused``::
+``repro.nn.LSTM``, ``repro.nn.LayerNorm``, ``repro.tensor.cross_entropy``
+and the SGD-family optimizers all consult :func:`fused_enabled`.  Fusion
+is on by default; with it off they run their reference implementations,
+which stay the test oracle.  Flip globally with
+``repro.tensor.use_fused``::
 
     from repro import tensor
-    tensor.use_fused(True)       # returns the previous setting
+    tensor.use_fused(False)      # returns the previous setting
     ...
     with tensor.fused_kernels(False):   # scoped override
         ...
 
-or set ``REPRO_FUSED=1`` in the environment (how the CI fused leg runs
-the whole tier-1 suite on the fused path), or pass ``--fused`` to the
-CLI.  Checkpoints are path-agnostic — parameter names, optimizer state
-keys and values are identical either way — and the profiler sees the
-fused ops under the stable names ``fused_lstm_cell`` / ``fused_lstm_out``
-/ ``fused_softmax_xent`` / ``fused_layer_norm``.
+or set ``REPRO_FUSED=0`` in the environment (how the CI reference leg
+runs the whole tier-1 suite on the oracle engine), or pass
+``--no-fused`` to the CLI.  Checkpoints are path-agnostic — parameter
+names, optimizer state keys and values are identical either way — and
+the profiler sees the fused ops under the stable names
+``fused_lstm_cell`` / ``fused_lstm_layer`` / ``fused_lstm_out`` /
+``fused_softmax_xent`` / ``fused_layer_norm``.
 
 Correctness story: :mod:`tests.test_fused_parity` property-checks fused
 against reference forward values and gradients (finite differences plus
@@ -78,31 +84,13 @@ __all__ = [
 ]
 
 
-def _fast_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Branch-free stable logistic, bit-identical to ``Tensor.sigmoid``.
-
-    The reference :func:`repro.tensor.tensor.stable_sigmoid` partitions the
-    input with boolean masks (fancy gather/scatter, slow at LSTM gate
-    sizes).  This evaluates the same two expressions —
-    ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``e / (1 + e)`` with
-    ``e = exp(x)`` otherwise — on the whole array via ``exp(-|x|)`` and a
-    single ``where`` select, so every element goes through exactly the
-    arithmetic the reference applies to it (the parity suite asserts
-    ``array_equal``).
-    """
-    e = np.exp(-np.abs(x))
-    num = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    np.divide(num, e, out=num)
-    return num
-
-
 def _sigmoid_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`_fast_sigmoid` writing into ``out`` via scratch ``tmp``.
+    """:func:`repro.tensor.tensor.stable_sigmoid` writing into ``out``.
 
-    Same arithmetic in the same order (so still bit-identical to the
-    reference sigmoid); the two buffers let the LSTM layer loop run its
-    gate math allocation-free.  ``tmp`` may be reused across calls.
+    Same arithmetic in the same order (so bit-identical to the reference
+    sigmoid); ``tmp`` holds ``exp(-|x|)``, so the LSTM loops run their
+    gate math without per-call temporaries.  ``tmp`` may be reused across
+    calls.
     """
     np.abs(x, out=tmp)
     np.negative(tmp, out=tmp)
@@ -112,12 +100,70 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray
     np.divide(num, tmp, out=out)
     return out
 
+
+def _cell_forward(z, c, i, f, g_, o, c_new, tanh_c, h_new, tmp) -> None:
+    """Gates and state update from the pre-activations ``z`` (B, 4H).
+
+    Every LSTM kernel runs its step through this one sequence of
+    operations, in the reference cell's order, so their forward values
+    agree bit for bit.  Writes ``i, f, g_, o, c_new, tanh_c, h_new``;
+    ``c_new`` may alias ``c``.
+    """
+    hs = i.shape[-1]
+    _sigmoid_into(z[:, 0 * hs : 1 * hs], i, tmp)
+    _sigmoid_into(z[:, 1 * hs : 2 * hs], f, tmp)
+    np.tanh(z[:, 2 * hs : 3 * hs], out=g_)
+    _sigmoid_into(z[:, 3 * hs : 4 * hs], o, tmp)
+    np.multiply(f, c, out=c_new)
+    np.multiply(i, g_, out=tmp)
+    np.add(c_new, tmp, out=c_new)
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(o, tanh_c, out=h_new)
+
+
+def _cell_vjp(dh, gc, i, f, g_, o, tanh_c, c_prev, dc, dz, t1, t2) -> None:
+    """The cell VJP's gate gradients, into ``dc`` and ``dz``.
+
+    ``dc = gc + dh * o * (1 - tanh_c^2)``, then the four gate blocks of
+    ``dz`` (B, 4H), each product grouped as in the expression form so the
+    step cell and the masked layer produce bit-identical gradients.
+    ``dc`` may alias ``gc``; ``t1``/``t2`` are scratch.
+    """
+    hs = i.shape[-1]
+    np.multiply(tanh_c, tanh_c, out=t2)
+    np.subtract(1.0, t2, out=t2)
+    np.multiply(dh, o, out=t1)
+    t1 *= t2
+    np.add(gc, t1, out=dc)
+    # input gate: dc * g * (i * (1 - i))
+    np.subtract(1.0, i, out=t2)
+    t2 *= i
+    np.multiply(dc, g_, out=t1)
+    np.multiply(t1, t2, out=dz[:, 0 * hs : 1 * hs])
+    # forget gate: dc * c_prev * (f * (1 - f))
+    np.subtract(1.0, f, out=t2)
+    t2 *= f
+    np.multiply(dc, c_prev, out=t1)
+    np.multiply(t1, t2, out=dz[:, 1 * hs : 2 * hs])
+    # candidate: dc * i * (1 - g^2)
+    np.multiply(g_, g_, out=t2)
+    np.subtract(1.0, t2, out=t2)
+    np.multiply(dc, i, out=t1)
+    np.multiply(t1, t2, out=dz[:, 2 * hs : 3 * hs])
+    # output gate: (dh * tanh_c) * (o * (1 - o))
+    np.subtract(1.0, o, out=t2)
+    t2 *= o
+    np.multiply(dh, tanh_c, out=t1)
+    np.multiply(t1, t2, out=dz[:, 3 * hs : 4 * hs])
+
+
 # --------------------------------------------------------------------------
 # the global switch
 # --------------------------------------------------------------------------
 
+# on unless REPRO_FUSED says otherwise: the reference engine is the
+# test oracle, selected with REPRO_FUSED=0 / --no-fused
 _FUSED_ENABLED = os.environ.get("REPRO_FUSED", "").strip().lower() not in (
-    "",
     "0",
     "false",
     "no",
@@ -202,28 +248,16 @@ def lstm_cell_step(
         xh[:, in_size:] = h.data
         np.matmul(xh, kernel.data, out=z)
         np.add(z, bias.data, out=z)
-        _sigmoid_into(z[:, 0 * hs : 1 * hs], i, tmp)
-        _sigmoid_into(z[:, 1 * hs : 2 * hs], f, tmp)
-        np.tanh(z[:, 2 * hs : 3 * hs], out=g_)
-        _sigmoid_into(z[:, 3 * hs : 4 * hs], o, tmp)
-        np.multiply(f, c.data, out=c_new)
-        np.multiply(i, g_, out=tmp)
-        np.add(c_new, tmp, out=c_new)
-        np.tanh(c_new, out=tanh_c)
-        np.multiply(o, tanh_c, out=packed[0])  # h_new
+        _cell_forward(z, c.data, i, f, g_, o, c_new, tanh_c, packed[0], tmp)
         packed[1] = c_new
 
     _forward()
 
     def vjp(gpack: np.ndarray):
-        gh, gc = gpack[0], gpack[1]
-        do = gh * tanh_c
-        dc = gc + gh * o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((xh.shape[0], 4 * hs))
-        dz[:, 0 * hs : 1 * hs] = dc * g_ * (i * (1.0 - i))
-        dz[:, 1 * hs : 2 * hs] = dc * c_prev * (f * (1.0 - f))
-        dz[:, 2 * hs : 3 * hs] = dc * i * (1.0 - g_ * g_)
-        dz[:, 3 * hs : 4 * hs] = do * (o * (1.0 - o))
+        dc = np.empty((batch, hs))
+        dz = np.empty((batch, 4 * hs))
+        _cell_vjp(gpack[0], gpack[1], i, f, g_, o, tanh_c, c_prev, dc, dz,
+                  np.empty((batch, hs)), np.empty((batch, hs)))
         dxh = dz @ kernel.data.T
         dkernel = xh.T @ dz
         dbias = dz.sum(axis=0)
@@ -287,12 +321,16 @@ def lstm_layer(
     bias: Tensor,
     hidden_size: int,
     reverse: bool = False,
+    mask: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM direction over a full ``(T, B, D)`` sequence in one node.
 
     Returns ``(outputs, h_final, c_final)`` where ``outputs`` is the
     ``(T, B, H)`` hidden-state sequence (time order preserved even when
     ``reverse=True``).
+
+    ``mask`` is an optional ``(T, B)`` 0/1 array for ragged batches; see
+    :func:`_masked_lstm_layer` for its semantics and parity contract.
 
     This is the cuDNN-style amortisation of the cell step: the input
     projection ``x @ Wx`` runs as a single batched matmul over all
@@ -314,6 +352,8 @@ def lstm_layer(
     x, h0, c0 = as_tensor(x), as_tensor(h0), as_tensor(c0)
     kernel, bias = as_tensor(kernel), as_tensor(bias)
     hs = int(hidden_size)
+    if mask is not None:
+        return _masked_lstm_layer(x, h0, c0, kernel, bias, hs, reverse, mask)
     seq_len, batch, in_size = x.shape
     w_x = kernel.data[:in_size]
     w_h = kernel.data[in_size:]
@@ -352,16 +392,9 @@ def lstm_layer(
             z = z_steps[t]
             np.matmul(h, w_h, out=rec)
             z += rec
-            i = _sigmoid_into(z[:, 0 * hs : 1 * hs], gate_i[t], tmp)
-            f = _sigmoid_into(z[:, 1 * hs : 2 * hs], gate_f[t], tmp)
-            g_ = np.tanh(z[:, 2 * hs : 3 * hs], out=gate_g[t])
-            o = _sigmoid_into(z[:, 3 * hs : 4 * hs], gate_o[t], tmp)
-            np.multiply(i, g_, out=tmp)
-            np.multiply(f, c, out=c_buf)  # aliasing-safe when c is c_buf
-            np.add(c_buf, tmp, out=c_buf)
-            c = c_buf
-            tc = np.tanh(c, out=tanh_c[t])
-            h = np.multiply(o, tc, out=packed[t])
+            _cell_forward(z, c, gate_i[t], gate_f[t], gate_g[t], gate_o[t],
+                          c_buf, tanh_c[t], packed[t], tmp)
+            h, c = packed[t], c_buf
         packed[seq_len] = h
         packed[seq_len + 1] = c
 
@@ -440,6 +473,127 @@ def lstm_layer(
     out = Tensor._make(
         packed, (x, h0, c0, kernel, bias), vjp, "fused_lstm_layer",
         replay=_forward,
+    )
+    return (
+        _packed_range(out, seq_len),
+        _packed_slice(out, seq_len),
+        _packed_slice(out, seq_len + 1),
+    )
+
+
+def _masked_lstm_layer(
+    x: Tensor,
+    h0: Tensor,
+    c0: Tensor,
+    kernel: Tensor,
+    bias: Tensor,
+    hs: int,
+    reverse: bool,
+    mask: np.ndarray,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """:func:`lstm_layer` over a ragged batch, with dynamic-RNN semantics.
+
+    At a step where ``mask[t, b] == 0`` row ``b``'s state carries through
+    unchanged and its output is zero, in either direction.  Each step is
+    the :func:`lstm_cell_step` arithmetic — one ``concat([x_t, h]) @
+    kernel + bias`` matmul, not the unmasked kernel's split projection —
+    followed by the per-step loop's ``h_new * m + h_old * (1 - m)``
+    freeze, so forward values are bit-identical to ``LSTM``'s per-step
+    masked loop.  The backward repeats the cell VJP per step and sums the
+    ``dkernel``/``dbias`` contributions in the order ``Tensor.backward``
+    accumulates them across the loop's cell nodes, so gradients match the
+    loop bit for bit as well.
+
+    The mask is computed outside the graph from the batch, so this node
+    carries no replay: a compiled capture containing it runs eagerly.
+    """
+    seq_len, batch, in_size = x.shape
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != (seq_len, batch):
+        raise ValueError(f"mask shape {mask.shape} != (T, B) = {(seq_len, batch)}")
+    keep = mask.reshape(seq_len, batch, 1)
+    drop = 1.0 - keep  # the loop's (1.0 - m) per step, all at once
+    k_data, b_data = kernel.data, bias.data
+    order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+
+    xh_all = np.empty((seq_len, batch, in_size + hs))
+    c_prev = np.empty((seq_len, batch, hs))
+    gate_i = np.empty((seq_len, batch, hs))
+    gate_f = np.empty((seq_len, batch, hs))
+    gate_g = np.empty((seq_len, batch, hs))
+    gate_o = np.empty((seq_len, batch, hs))
+    tanh_c = np.empty((seq_len, batch, hs))
+    packed = np.empty((seq_len + 2, batch, hs))
+    z = np.empty((batch, 4 * hs))
+    tmp = np.empty((batch, hs))
+    h_new = np.empty((batch, hs))
+    c_new = np.empty((batch, hs))
+    h_buf = np.empty((batch, hs))
+    c_buf = np.empty((batch, hs))
+
+    h, c = h0.data, c0.data
+    for t in order:
+        xh = xh_all[t]
+        xh[:, :in_size] = x.data[t]
+        xh[:, in_size:] = h
+        c_prev[t] = c
+        np.matmul(xh, k_data, out=z)
+        np.add(z, b_data, out=z)
+        _cell_forward(z, c, gate_i[t], gate_f[t], gate_g[t], gate_o[t],
+                      c_new, tanh_c[t], h_new, tmp)
+        m, d = keep[t], drop[t]
+        # output h_new * m doubles as the first term of the frozen state
+        np.multiply(h_new, m, out=packed[t])
+        np.multiply(h, d, out=tmp)  # h may alias h_buf: read before write
+        h = np.add(packed[t], tmp, out=h_buf)
+        np.multiply(c_new, m, out=c_new)
+        np.multiply(c, d, out=tmp)
+        c = np.add(c_new, tmp, out=c_buf)
+    packed[seq_len] = h
+    packed[seq_len + 1] = c
+
+    def vjp(gpack: np.ndarray):
+        gh = gpack[seq_len].copy()
+        gc = gpack[seq_len + 1].copy()
+        dh = np.empty((batch, hs))
+        dc = np.empty((batch, hs))
+        t1 = np.empty((batch, hs))
+        t2 = np.empty((batch, hs))
+        dz = np.empty((batch, 4 * hs))
+        dxh = np.empty((batch, in_size + hs))
+        dk_t = np.empty_like(k_data)
+        db_t = np.empty(4 * hs)
+        dx = np.empty(x.shape)  # every step writes its slice
+        dkernel = dbias = None
+        for t in reversed(order):
+            m, d = keep[t], drop[t]
+            # through the freeze: dh_new = gh*m + g_out*m, dc_new = gc*m
+            np.multiply(gh, m, out=dh)
+            np.multiply(gpack[t], m, out=t1)
+            dh += t1
+            np.multiply(gc, m, out=dc)
+            _cell_vjp(dh, dc, gate_i[t], gate_f[t], gate_g[t], gate_o[t],
+                      tanh_c[t], c_prev[t], dc, dz, t1, t2)
+            np.matmul(dz, k_data.T, out=dxh)
+            np.matmul(xh_all[t].T, dz, out=dk_t)
+            dz.sum(axis=0, out=db_t)
+            if dkernel is None:
+                dkernel, dbias = dk_t.copy(), db_t.copy()
+            else:
+                dkernel += dk_t
+                dbias += db_t
+            dx[t] = dxh[:, :in_size]
+            # into the previous state: the freeze's pass-through plus the
+            # cell's dh_prev / dc_prev
+            np.multiply(gh, d, out=gh)
+            gh += dxh[:, in_size:]
+            np.multiply(gc, d, out=gc)
+            np.multiply(dc, gate_f[t], out=t1)
+            gc += t1
+        return (dx, gh, gc, dkernel, dbias)
+
+    out = Tensor._make(
+        packed, (x, h0, c0, kernel, bias), vjp, "fused_lstm_layer"
     )
     return (
         _packed_range(out, seq_len),

@@ -89,15 +89,18 @@ def _asarray(value) -> np.ndarray:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic on a plain array.
 
-    Shared by :meth:`Tensor.sigmoid` and the fused LSTM kernel so both
-    paths produce bit-identical forward values.
+    Evaluates ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``e / (1 + e)``
+    with ``e = exp(x)`` otherwise, branch-free: both branches share
+    ``e = exp(-|x|)`` and one ``where`` picks the numerator, so no boolean
+    gather/scatter runs.  The fused kernels' in-place form
+    (``repro.tensor.fused._sigmoid_into``) applies the same arithmetic, so
+    both engine paths produce bit-identical forward values.
     """
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(x))
+    num = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    np.divide(num, e, out=num)
+    return num
 
 
 # --------------------------------------------------------------------------

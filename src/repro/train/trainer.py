@@ -42,11 +42,13 @@ from repro.compile import CompiledStep
 from repro.compile.config import compiled_enabled
 from repro.obs import Obs
 from repro.obs.metrics import GRAD_NORM_BUCKETS
+from repro.obs.profiler import get_active as active_profiler
 from repro.obs.telemetry import HealthMonitor, default_training_rules
 from repro.optim.base import Optimizer
 from repro.optim.clip import clip_grad_norm
 from repro.optim.ema import EMAWeights
 from repro.optim.loss_scaler import DynamicLossScaler
+from repro.parallel.cluster import ClusterLoss
 from repro.schedules.base import Schedule
 from repro.tensor.amp import amp_enabled, autocast
 from repro.tensor.tensor import Tensor
@@ -168,7 +170,10 @@ class Trainer:
         default) follows the global :func:`repro.tensor.use_compiled` /
         ``REPRO_COMPILE`` switch; an explicit bool overrides it.
         ``compile/*`` counters land in the obs metrics registry when one
-        is attached.
+        is attached.  A cluster's ``as_loss_fn`` adapter builds no graph
+        to capture: ``compiled=True`` with one raises, and under the
+        global switch the run stays eager and counts one
+        ``compile/fallbacks`` per step.
     amp:
         Emulated mixed-precision training (:mod:`repro.tensor.amp`):
         the forward pass runs under :func:`~repro.tensor.amp.autocast`,
@@ -257,11 +262,22 @@ class Trainer:
                 "gradient accumulation does not combine with amp, compiled "
                 "or a loss_scaler"
             )
+        cluster = isinstance(loss_fn, ClusterLoss)
+        if compiled and cluster:
+            raise ValueError(
+                "compiled=True needs a graph loss: a cluster's as_loss_fn "
+                "adapter installs gradients and returns no graph to capture"
+            )
         # the REPRO_COMPILE / REPRO_AMP defaults apply to single-batch
         # steps, and an explicit amp=True wins over the compile default
         single = accum_steps == 1
+        # REPRO_COMPILE asked for a compiled step that a cluster adapter
+        # cannot give: the run stays eager, one compile/fallbacks a step
+        self._compile_declined = False
         if compiled is None:
             compiled = compiled_enabled() and not amp and single
+            if compiled and cluster:
+                compiled, self._compile_declined = False, True
         if amp is None:
             amp = amp_enabled() and not compiled and single
         if compiled and not isinstance(loss_fn, CompiledStep):
@@ -423,6 +439,7 @@ class Trainer:
         injector = faults.injector if faults is not None else None
         params = self._params = [p for _, p in optimizer.params]
         amp_on = self.amp
+        declined = self._compile_declined and mreg is not None
         log = RunLog()
         result = TrainResult(log=log)
 
@@ -454,6 +471,13 @@ class Trainer:
                 n_steps += 1
                 lr = self.envelope(iteration)
                 optimizer.zero_grad()
+                if declined:
+                    mreg.counter("compile/fallbacks").inc()
+                profiler = active_profiler()
+                if profiler is not None:
+                    # the step's first op must not absorb the optimizer
+                    # step, eval and loop work since the last engine event
+                    profiler.mark()
                 if self.accum_steps == 1:
                     with autocast() if amp_on else _NO_SPAN, span("forward"):
                         loss = self.loss_fn(group[0])

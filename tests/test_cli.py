@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.tensor.amp import use_amp
+from repro.compile import compiled_enabled
+from repro.tensor import fused_enabled
+from repro.tensor.amp import amp_enabled, use_amp
 
 
 class TestList:
@@ -225,6 +227,16 @@ class TestAdaptiveBatch:
             ["train", "mnist", "--adaptive-batch", "--compile"]
         ) == 2
         assert "recapture" in capsys.readouterr().err
+
+    def test_rejected_command_restores_engine_switches(self, capsys):
+        """Engine flags hold for one command: a rejected ``--compile``
+        must not leave the compiler on for the rest of the process."""
+        before = (fused_enabled(), compiled_enabled(), amp_enabled())
+        assert main(
+            ["train", "mnist", "--adaptive-batch", "--compile", "--no-fused",
+             "--amp"]
+        ) == 2
+        assert (fused_enabled(), compiled_enabled(), amp_enabled()) == before
 
     @pytest.mark.slow
     def test_adaptive_with_fault_injection_resumes_bit_exactly(

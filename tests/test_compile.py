@@ -15,7 +15,8 @@ generated graphs; this module pins everything *around* that:
 * the plan cache (one plan per signature, FIFO-bounded);
 * the integration seams: ``Trainer(compiled=...)``, the
   ``use_compiled``/``REPRO_COMPILE`` switch, and the ``--compile`` CLI
-  flag.
+  flag — and the one loss a trainer never compiles, a cluster's
+  ``as_loss_fn`` adapter.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from repro.compile import (
     compiled_graphs,
     use_compiled,
 )
+from repro.compile.recorder import GraphRecorder
 from repro.compile.step import _UNSUPPORTED
 from repro.data import ArrayDataset, BatchIterator
 from repro.nn import Dropout, Linear
 from repro.nn.convnet import BatchNorm2d
 from repro.obs import MetricsRegistry, Obs
 from repro.optim import SGD
+from repro.parallel import SimCluster
 from repro.schedules import ConstantLR
 from repro.tensor import Tensor, cross_entropy, no_grad, where
 from repro.train import Trainer
@@ -394,6 +397,42 @@ class TestIntegration:
             assert not isinstance(t2.loss_fn, CompiledStep)
         finally:
             use_compiled(prev)
+
+    @staticmethod
+    def _cluster_run(compiled=None, obs=None):
+        x, y, model, loss_fn = _linear_problem(np.random.default_rng(21))
+        cluster = SimCluster(model.parameters(), loss_fn, 4)
+        trainer = Trainer(
+            cluster.as_loss_fn(), SGD(model, lr=0.1), ConstantLR(0.1),
+            BatchIterator(ArrayDataset(x, y), 16, rng=1),
+            obs=obs, compiled=compiled,
+        )
+        return trainer, trainer.run(2)
+
+    def test_explicit_compile_of_cluster_adapter_raises(self):
+        with pytest.raises(ValueError, match="graph loss"):
+            self._cluster_run(compiled=True)
+
+    def test_global_switch_leaves_cluster_adapter_eager(self, monkeypatch):
+        """The adapter returns no graph: no recorder ever attaches, the
+        losses equal the eager run bitwise, and each step counts one
+        ``compile/fallbacks``."""
+        attaches = []
+        attach = GraphRecorder.attach
+        monkeypatch.setattr(
+            GraphRecorder, "attach", lambda self: attaches.append(1) or attach(self)
+        )
+        with compiled_graphs(False):
+            _, eager = self._cluster_run()
+        obs = Obs(metrics=True)
+        with compiled_graphs(True):
+            trainer, switched = self._cluster_run(obs=obs)
+        assert not isinstance(trainer.loss_fn, CompiledStep)
+        assert attaches == []
+        assert switched.log.values("loss") == eager.log.values("loss")
+        steps = 2 * 4  # 64 examples at batch 16, two epochs
+        assert obs.metrics.counter("compile/fallbacks").value == steps
+        assert obs.metrics.counter("compile/captures").value == 0
 
     def test_compiled_graphs_context_manager(self):
         prev = use_compiled(False)  # pin a known base state (env may set it)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from repro.compile import (
     CompiledStep,
     compiled_label,
 )
-from repro.data import ArrayDataset, BatchIterator
+from repro.data import ArrayDataset, BatchIterator, make_sequential_mnist
+from repro.models import MnistLSTMClassifier
 from repro.nn import LSTM, Linear
 from repro.obs import MetricsRegistry, Obs, activated
 from repro.optim import LAMB, LARS, SGD
@@ -77,6 +79,31 @@ class TestTrainerInstrumentation:
         assert obs.metrics.counter("train/iterations").value == steps
         assert obs.metrics.histogram("train/grad_norm").count == steps
         assert np.isfinite(obs.metrics.gauge("train/loss").value)
+
+    def test_profiler_bills_forward_ops_only_forward_time(self):
+        """The step's first op must not absorb the previous backward, the
+        optimizer step or loop work: summed forward-op seconds stay within
+        the summed wall time of the loss_fn calls."""
+        train, _ = make_sequential_mnist(64, 4, rng=0, size=8)
+        model = MnistLSTMClassifier(rng=1, input_dim=8, transform_dim=8, hidden=16)
+        walls = []
+
+        def timed_loss(batch):
+            t0 = time.perf_counter()
+            loss = model.loss(batch)
+            walls.append(time.perf_counter() - t0)
+            return loss
+
+        obs = Obs(profile=True)
+        with obs.activate():
+            Trainer(
+                timed_loss, SGD(model, lr=0.05), ConstantLR(0.05),
+                BatchIterator(train, 16, rng=2), grad_clip=1.0, obs=obs,
+                compiled=False,  # replayed steps do not call the loss_fn
+            ).run(2)
+        forward = sum(st.seconds for st in obs.profiler.forward.values())
+        assert len(walls) == 8
+        assert 0.0 < forward <= sum(walls)
 
     def test_result_identical_with_and_without_obs(self, rng):
         """Instrumentation must not perturb the training protocol."""
@@ -210,9 +237,9 @@ class TestFusedKernelProfile:
         # layer plus the loss/head handful
         assert fus_nodes < ref_nodes / 3
 
-    def test_fused_cell_label_on_masked_fallback(self):
-        """Ragged batches fall back to per-step fused cells — still
-        profiled under their own stable name."""
+    def test_masked_batch_profiles_as_one_layer_node(self):
+        """Ragged batches run the masked layer kernel — one node per
+        direction, under the layer's stable name, no per-step cells."""
         with fused_kernels(True):
             rng = np.random.default_rng(4)
             lstm = LSTM(4, 6, num_layers=1, rng=0)
@@ -225,8 +252,8 @@ class TestFusedKernelProfile:
                 out, _ = lstm(Tensor(x), mask=mask)
             finally:
                 prof.detach()
-        assert prof.forward["fused_lstm_cell"].calls == 5
-        assert "fused_lstm_layer" not in prof.forward
+        assert prof.forward["fused_lstm_layer"].calls == 1
+        assert "fused_lstm_cell" not in prof.forward
 
 
 class TestCompiledReplayProfile:
